@@ -260,10 +260,10 @@ func BenchmarkE13UserModel(b *testing.B) {
 // rooms at increasing worker counts, with prototype cloning on (proto=1,
 // the default path) and off (proto=0, every cell constructed from
 // scratch). The cells/s metric is the headline: it should scale with
-// workers up to the core count, the proto=1 rows should dominate
-// proto=0, and the reduced clinical outcome stays bit-identical across
-// all of it (the determinism tests assert the bytes; the benchmark
-// reports the mean nadir as a tripwire).
+// workers up to the core count, proto=0 is the baseline cloning is
+// weighed against, and the reduced clinical outcome stays bit-identical
+// across all of it (the determinism tests assert the bytes; the
+// benchmark reports the mean nadir as a tripwire).
 func BenchmarkFleetPCAScaling(b *testing.B) {
 	const cells = 8
 	for _, proto := range []bool{true, false} {
@@ -279,7 +279,9 @@ func BenchmarkFleetPCAScaling(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				runner := fleet.Runner{Workers: workers, NoPrototype: !proto}
+				fleet.SetPrototypesForTest(proto)
+				defer fleet.SetPrototypesForTest(true)
+				runner := fleet.Runner{Workers: workers}
 				var last []fleet.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

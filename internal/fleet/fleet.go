@@ -30,10 +30,11 @@ import (
 	"repro/internal/sim"
 )
 
-// prototypesDisabled globally gates prototype cloning (in addition to
-// the per-Runner NoPrototype switch). The differential suite flips it
-// to render whole experiment catalogs — whose runners the caller cannot
-// reach — with and without cloning and hold the outputs byte-identical.
+// prototypesDisabled globally gates prototype cloning. Tests flip it to
+// run cells built from scratch — including whole experiment catalogs,
+// whose runners the caller cannot reach — and hold the outputs
+// byte-identical to cloned cells; the fleet benchmark flips it for its
+// from-scratch baseline.
 var prototypesDisabled atomic.Bool
 
 // SetPrototypesForTest globally enables or disables prototype cloning.
@@ -155,9 +156,9 @@ type Spec struct {
 
 	// NewProto, when non-nil, builds a reusable prototype rig for this
 	// spec. The runner calls it at most once per worker and routes every
-	// cell through Proto.Clone; a nil NewProto (or Runner.NoPrototype)
-	// falls back to from-scratch construction via Run, so the registry
-	// contract is unchanged for factories that have not opted in.
+	// cell through Proto.Clone; a nil NewProto falls back to from-scratch
+	// construction via Run, so the registry contract is unchanged for
+	// factories that have not opted in.
 	NewProto func() Proto
 
 	// scenario/params, when set, record how Build produced this spec —
@@ -218,12 +219,6 @@ type Runner struct {
 	// without Provenance — still run locally, so mixed workloads degrade
 	// to exactly the local behavior rather than failing.
 	Engine Engine
-
-	// NoPrototype disables prototype cloning: every cell is built from
-	// scratch via Spec.Run even when the spec offers NewProto. The
-	// differential suite uses it to prove cloned and from-scratch cells
-	// byte-identical; it is also the honest baseline for benchmarks.
-	NoPrototype bool
 
 	// Span, when active, parents the run's trace: each worker records
 	// per-cell spans into its own lock-free buffer, prototype builds get
@@ -503,11 +498,11 @@ func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffe
 
 // protoFor resolves the worker's cached prototype for spec si, building
 // it on first use. Returns nil — meaning "construct from scratch" —
-// when the spec offers no prototype, the runner disables cloning, or
-// the factory declined at build time (a nil Proto is cached so the
+// when the spec offers no prototype, cloning is disabled, or the
+// factory declined at build time (a nil Proto is cached so the
 // factory is not re-asked per cell).
 func (r Runner) protoFor(s Spec, si int, scratch *Scratch, buf *icescope.Buffer, parent icescope.Span) Proto {
-	if r.NoPrototype || s.NewProto == nil || scratch == nil || prototypesDisabled.Load() {
+	if s.NewProto == nil || scratch == nil || prototypesDisabled.Load() {
 		return nil
 	}
 	p, ok := scratch.protos[si]

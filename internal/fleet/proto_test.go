@@ -44,6 +44,7 @@ func renderResults(rs []Result) string {
 // wire codecs. Sorted-map rendering via %v makes the comparison total.
 func TestPrototypeCloneByteIdentical(t *testing.T) {
 	defer sim.SetReferenceQueueForTest(false)
+	defer SetPrototypesForTest(true)
 	for name, p := range protoCatalogParams() {
 		for _, ref := range []bool{false, true} {
 			sim.SetReferenceQueueForTest(ref)
@@ -57,7 +58,9 @@ func TestPrototypeCloneByteIdentical(t *testing.T) {
 				if spec.NewProto == nil {
 					t.Fatalf("%s: catalog spec did not opt into prototyping", name)
 				}
-				scratchRes, err := Runner{Workers: 1, NoPrototype: true}.Run(spec)
+				SetPrototypesForTest(false)
+				scratchRes, err := Runner{Workers: 1}.Run(spec)
+				SetPrototypesForTest(true)
 				if err != nil {
 					t.Fatalf("%s from-scratch: %v", name, err)
 				}

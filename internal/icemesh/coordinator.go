@@ -120,7 +120,7 @@ func newMeshMetrics(c *Coordinator) meshMetrics {
 	m.shardsAssigned = r.Counter("icemesh_shards_assigned_total", "Shard assignments sent (including re-assignments).")
 	m.shardRetries = r.Counter("icemesh_shard_retries_total", "Shards re-queued after node loss or deadline.")
 	m.cellsDone = r.Counter("icemesh_cells_done_total", "Cells delivered back and merged.")
-	m.cellBatches = r.Counter("icemesh_cell_batches_total", "Batched CellDone frames received.")
+	m.cellBatches = r.Counter("icemesh_cell_batches_total", "CellBatch frames received.")
 	m.spanBatches = r.Counter("icemesh_span_batches_total", "SpanBatch frames received from nodes.")
 	m.spansForwarded = r.Counter("icemesh_spans_forwarded_total", "Node spans injected into job traces.")
 	m.spanBatchesStale = r.Counter("icemesh_span_batches_stale_total", "SpanBatch frames dropped: locator no longer a live traced job.")
@@ -388,8 +388,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			c.mu.Unlock()
 			c.flush(sends)
 			c.met.heartbeatJitter.Observe(math.Abs((interval - c.cfg.Heartbeat).Seconds()))
-		case *CellDone:
-			c.onCellDone(node, v)
 		case *CellBatch:
 			c.onCellBatch(node, v)
 		case *ShardDone:
@@ -607,15 +605,9 @@ func (c *Coordinator) liveNodesLocked() []*meshNode {
 	return out
 }
 
-// onCellDone merges one delivered cell; onCellBatch merges a node-side
-// flush of many under a single lock acquisition — the amortization that
-// keeps shard size 1 from turning every cell into a contended merge.
-func (c *Coordinator) onCellDone(node *meshNode, m *CellDone) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mergeCellLocked(node, m)
-}
-
+// onCellBatch merges a node-side flush of many cells under a single lock
+// acquisition — the amortization that keeps shard size 1 from turning
+// every cell into a contended merge.
 func (c *Coordinator) onCellBatch(node *meshNode, m *CellBatch) {
 	c.met.cellBatches.Inc()
 	c.mu.Lock()

@@ -88,10 +88,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 }
 
 // Node is one worker: it registers with the coordinator, heartbeats,
-// executes assigned cell ranges, and streams results back in batched
-// CellDone frames. Assignments within the coordinator-granted credit
-// window execute concurrently, all sharing one persistent fleet session
-// per job — the pool bounds actual parallelism at Workers, and the
+// executes assigned cell ranges, and streams results back in CellBatch
+// frames. Assignments within the coordinator-granted credit window
+// execute concurrently, all sharing one persistent fleet session per
+// job — the pool bounds actual parallelism at Workers, and the
 // session keeps the spec built once, so shard size 1 costs a function
 // call, not a scenario rebuild.
 type Node struct {
@@ -572,7 +572,7 @@ func (n *Node) Run(ctx context.Context) error {
 
 // execute runs one assigned range on the job's cached session and
 // streams results back through the batcher. Cell-level failures ride
-// their CellDone (matching local fleet semantics, where a bad cell
+// their CellBatch entry (matching local fleet semantics, where a bad cell
 // doesn't kill the ensemble); only range-level failures — an unknown
 // scenario, an impossible range — fail the shard.
 func (n *Node) execute(ctx context.Context, a *Assign) {

@@ -42,7 +42,8 @@ const (
 	codeWelcome   = 2 // coordinator -> node: registration accepted
 	codeHeartbeat = 3 // node -> coordinator: liveness + load
 	codeAssign    = 4 // coordinator -> node: execute one cell range
-	codeCellDone  = 5 // node -> coordinator: one cell's result
+	// 5 was a one-cell result frame, superseded by CellBatch; it stays
+	// unassigned so a stray one decodes as an unknown type.
 	codeShardDone = 6 // node -> coordinator: range finished
 	codeDrain     = 7 // either direction: stop assigning, finish in-flight
 	codeCellBatch = 8 // node -> coordinator: several cells' results in one frame
@@ -92,8 +93,9 @@ type Assign struct {
 	Trace bool
 }
 
-// CellDone reports one executed cell: its global index, the lifted
-// engine counters, and the clinical metric map (canonical sorted keys).
+// CellDone reports one executed cell as a CellBatch entry: its global
+// index, the lifted engine counters, and the clinical metric map
+// (canonical sorted keys).
 type CellDone struct {
 	Shard        uint64
 	Index        int
@@ -105,12 +107,11 @@ type CellDone struct {
 	Metrics      map[string]float64
 }
 
-// CellBatch carries several cell results in one frame. With streaming
-// fine-grained shards the per-cell CellDone frame (header + syscall per
+// CellBatch carries cell results, the only frame that does. With
+// streaming fine-grained shards a frame per cell (header + syscall per
 // cell) would dominate the wire, so nodes coalesce deliveries — size-
 // and time-bounded — into one batch per flush. Entries may mix shards;
-// order within a batch is completion order, and every entry is decoded
-// with exactly the CellDone field rules. An empty batch carries no
+// order within a batch is completion order. An empty batch carries no
 // information and is rejected on both ends, so every accepted frame has
 // one canonical encoding.
 type CellBatch struct {
@@ -152,7 +153,7 @@ type SpanBatch struct {
 }
 
 // ShardDone closes one assignment; Err is the range-level failure (every
-// cell-level error already rode its CellDone).
+// cell-level error already rode its CellBatch entry).
 type ShardDone struct {
 	Shard uint64
 	Err   string
@@ -275,12 +276,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = icewire.AppendString(dst, v.Codec)
 		dst = appendMap(dst, v.Knobs)
 		return icewire.AppendBool(dst, v.Trace), nil
-	case *CellDone:
-		if v.Index < 0 {
-			return dst, fmt.Errorf("icemesh: negative cell index %d", v.Index)
-		}
-		dst = append(dst, MeshV1, codeCellDone)
-		return appendCellDone(dst, v), nil
 	case *CellBatch:
 		if len(v.Cells) == 0 {
 			return dst, errors.New("icemesh: empty cell batch")
@@ -334,8 +329,7 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 	}
 }
 
-// appendCellDone encodes one cell result's fields — the shared body of
-// CellDone frames and CellBatch entries, so the two can never drift.
+// appendCellDone encodes one CellBatch entry's fields.
 func appendCellDone(dst []byte, v *CellDone) []byte {
 	dst = binary.AppendUvarint(dst, v.Shard)
 	dst = binary.AppendUvarint(dst, uint64(v.Index))
@@ -386,10 +380,6 @@ func DecodeMessage(data []byte) (any, error) {
 	case codeAssign:
 		v := &Assign{}
 		err = decodeAssign(r, v)
-		m = v
-	case codeCellDone:
-		v := &CellDone{}
-		err = decodeCellDone(r, v)
 		m = v
 	case codeCellBatch:
 		v := &CellBatch{}

@@ -35,9 +35,6 @@ func goldenMessages() []struct {
 			Duration: 2 * sim.Hour, Codec: "binary", Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
 		{"assign-traced", &Assign{Shard: 10, Scenario: "tele-icu-probe", Seed: 7, Cells: 8, Start: 0, End: 4,
 			Duration: sim.Hour, Trace: true}},
-		{"celldone", &CellDone{Shard: 9, Index: 17, Seed: 1234567, Events: 250000, WireBytes: 65536,
-			WireEncodeNS: 777, Metrics: map[string]float64{"alarms": 3, "min_spo2": 88.5}}},
-		{"celldone-err", &CellDone{Shard: 9, Index: 18, Seed: -7, Err: "cell panicked: causality"}},
 		{"cellbatch", &CellBatch{Cells: []CellDone{
 			{Shard: 9, Index: 17, Seed: 1234567, Events: 250000, WireBytes: 65536,
 				WireEncodeNS: 777, Metrics: map[string]float64{"alarms": 3, "min_spo2": 88.5}},
@@ -112,6 +109,32 @@ func TestMeshVersionAndTypeRejection(t *testing.T) {
 			t.Errorf("type code 0x%02x accepted", c)
 		}
 	}
+	for _, frame := range retiredCellDoneFrames(t) {
+		if m, err := DecodeMessage(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("code-5 frame %x: got %+v, %v; want unknown message type", frame, m, err)
+		}
+	}
+}
+
+// retiredCellDoneFrames builds frames of code 5, the retired one-cell
+// result message: one CellBatch entry straight after the type byte, in
+// both entry shapes (metrics and error). Code 5 stays unassigned, so a
+// stray one must decode as an unknown type, never as a cell result.
+func retiredCellDoneFrames(tb testing.TB) [][]byte {
+	var frames [][]byte
+	for _, cd := range []CellDone{
+		{Shard: 9, Index: 17, Seed: 1234567, Events: 250000, WireBytes: 65536,
+			WireEncodeNS: 777, Metrics: map[string]float64{"alarms": 3, "min_spo2": 88.5}},
+		{Shard: 9, Index: 18, Seed: -7, Err: "cell panicked: causality"},
+	} {
+		batch, err := AppendMessage(nil, &CellBatch{Cells: []CellDone{cd}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// batch[2] is the one-byte entry count; the entry follows it.
+		frames = append(frames, append([]byte{MeshV1, 5}, batch[3:]...))
+	}
+	return frames
 }
 
 // SpanBatch validation: an empty batch and a span whose end precedes
@@ -206,12 +229,15 @@ func FuzzDecodeMeshMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{MeshV1})
 	f.Add([]byte{MeshV1, codeAssign, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add(append([]byte{MeshV1, codeCellDone}, bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add(append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...))
 	f.Add([]byte{MeshV1, codeCellBatch, 0})                            // empty batch: rejected
 	f.Add([]byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // hostile count
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0})                      // empty span batch: rejected
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}) // span ends before it starts
+	for _, frame := range retiredCellDoneFrames(f) {
+		f.Add(frame) // unknown type: rejected
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessage(data)
@@ -255,8 +281,8 @@ func FuzzMeshRoundTrip(f *testing.F) {
 			msg = &Assign{Shard: u1, Scenario: s1, Seed: i1, Cells: n, Start: n / 4, End: n / 2,
 				Duration: sim.Time(i1), Codec: s2, Knobs: kv}
 		case 4:
-			msg = &CellDone{Shard: u1, Index: n, Seed: i1, Events: u1, WireBytes: u1 / 2,
-				WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}
+			msg = &CellBatch{Cells: []CellDone{{Shard: u1, Index: n, Seed: i1, Events: u1,
+				WireBytes: u1 / 2, WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}}}
 		case 5:
 			msg = &ShardDone{Shard: u1, Err: s2}
 		case 6:
@@ -317,7 +343,7 @@ func TestMeshFuzzSeedCorpus(t *testing.T) {
 	seeds["version-only"] = []byte{MeshV1}
 	seeds["bad-version"] = []byte{0x02, codeHello, 0}
 	seeds["huge-count"] = []byte{MeshV1, codeAssign, 1, 1, 'x', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	seeds["overlong-varint"] = append([]byte{MeshV1, codeCellDone}, bytes.Repeat([]byte{0x80}, 11)...)
+	seeds["overlong-varint"] = append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...)
 	seeds["empty-batch"] = []byte{MeshV1, codeCellBatch, 0}
 	seeds["huge-batch-count"] = []byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
 	seeds["empty-span-batch"] = []byte{MeshV1, codeSpanBatch, 0, 0, 0}

@@ -58,18 +58,17 @@ type eventLog struct {
 	seq     uint64
 	log     []SpanEvent
 	subs    []chan SpanEvent
-	onEvent func(SpanEvent)
-	forward bool // ForwardEvents mode: no retention, no subscribers
+	forward func(SpanEvent) // ForwardEvents mode: no retention, no subscribers
 	closed  bool
 	dropped uint64
 }
 
 // StreamEvents arms the trace's live event plane with a bound of max
 // retained events (<=0 picks 4096). Beyond the bound events are
-// counted as dropped — from the log, from every subscriber, and from
-// the OnEvent callback alike — so a pathological span storm degrades
-// the stream, never the process. Must be called before recording
-// begins (like SetMaxSpans, it is not synchronized against recording).
+// counted as dropped — from the log and from every subscriber alike —
+// so a pathological span storm degrades the stream, never the process.
+// Must be called before recording begins (like SetMaxSpans, it is not
+// synchronized against recording).
 func (t *Trace) StreamEvents(max int) {
 	if t == nil {
 		return
@@ -91,7 +90,7 @@ func (t *Trace) ForwardEvents(fn func(SpanEvent)) {
 	if t == nil || fn == nil {
 		return
 	}
-	t.events = &eventLog{onEvent: fn, forward: true}
+	t.events = &eventLog{forward: fn}
 }
 
 // EventsArmed reports whether StreamEvents armed the live plane.
@@ -108,20 +107,6 @@ func (t *Trace) EventsDropped() uint64 {
 	return l.dropped
 }
 
-// OnEvent registers a synchronous callback invoked for every published
-// event, on the publishing goroutine, after the event is logged. One
-// callback per trace (last registration wins); used by the mesh node to
-// forward completed spans. Must be registered before recording begins.
-func (t *Trace) OnEvent(fn func(SpanEvent)) {
-	if t == nil || t.events == nil {
-		return
-	}
-	l := t.events
-	l.mu.Lock()
-	l.onEvent = fn
-	l.mu.Unlock()
-}
-
 // SubscribeEvents returns the events published so far and a live
 // channel for the rest. The channel is buffered to the stream bound, so
 // publication never blocks on a slow subscriber; it is closed when the
@@ -129,7 +114,7 @@ func (t *Trace) OnEvent(fn func(SpanEvent)) {
 // plane is already closed or was never armed. cancel detaches the
 // subscriber early (idempotent, never required).
 func (t *Trace) SubscribeEvents() (replay []SpanEvent, live <-chan SpanEvent, cancel func()) {
-	if t == nil || t.events == nil || t.events.forward {
+	if t == nil || t.events == nil || t.events.forward != nil {
 		ch := make(chan SpanEvent)
 		close(ch)
 		return nil, ch, func() {}
@@ -174,12 +159,12 @@ func (t *Trace) CloseEvents() {
 		close(ch)
 	}
 	l.subs = nil
-	l.onEvent = nil
 }
 
 // publish appends the event to the log and fans it out. The event-log
-// mutex bounds the critical section; the OnEvent callback runs outside
-// it (still on the publishing goroutine, so per-goroutine order holds).
+// mutex bounds the critical section; the ForwardEvents callback runs
+// outside it (still on the publishing goroutine, so per-goroutine order
+// holds).
 func (t *Trace) publish(ev SpanEvent) {
 	if t == nil || t.events == nil {
 		return
@@ -190,14 +175,14 @@ func (t *Trace) publish(ev SpanEvent) {
 		l.mu.Unlock()
 		return
 	}
-	if !l.forward && len(l.log) >= l.max {
+	if l.forward == nil && len(l.log) >= l.max {
 		l.dropped++
 		l.mu.Unlock()
 		return
 	}
 	l.seq++
 	ev.Seq = l.seq
-	if !l.forward {
+	if l.forward == nil {
 		l.log = append(l.log, ev)
 		for _, ch := range l.subs {
 			// Cannot block: the channel is buffered to the log bound and
@@ -206,7 +191,7 @@ func (t *Trace) publish(ev SpanEvent) {
 			ch <- ev
 		}
 	}
-	fn := l.onEvent
+	fn := l.forward
 	l.mu.Unlock()
 	if fn != nil {
 		fn(ev)

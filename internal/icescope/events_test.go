@@ -187,12 +187,10 @@ func TestEventStreamUnarmedAndNil(t *testing.T) {
 	if tr.EventsArmed() || tr.EventsDropped() != 0 {
 		t.Fatal("unarmed trace reports an armed plane")
 	}
-	tr.OnEvent(func(SpanEvent) {}) // no-op, must not panic
 
 	var nilTr *Trace
 	nilTr.StreamEvents(8)
 	nilTr.CloseEvents()
-	nilTr.OnEvent(nil)
 	nilTr.InjectSpan(Span{}, "x", 0, 0)
 	if nilTr.EventsArmed() || nilTr.EventsDropped() != 0 || nilTr.Now() != 0 {
 		t.Fatal("nil trace leaked state")
@@ -215,27 +213,6 @@ func TestEventStreamDefaultBound(t *testing.T) {
 	tr.StreamEvents(0)
 	if tr.events.max != 4096 {
 		t.Fatalf("default bound = %d, want 4096", tr.events.max)
-	}
-}
-
-func TestOnEventSynchronousOrder(t *testing.T) {
-	tr := NewTrace("cb")
-	tr.StreamEvents(64)
-	var mu sync.Mutex
-	var names []string
-	tr.OnEvent(func(ev SpanEvent) {
-		mu.Lock()
-		names = append(names, ev.Kind.String()+":"+ev.Name)
-		mu.Unlock()
-	})
-	sp := tr.Start(Span{}, "a")
-	sp.End()
-	// The callback runs on the publishing goroutine: both events are
-	// visible the moment End returns.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(names) != 2 || names[0] != "start:a" || names[1] != "end:a" {
-		t.Fatalf("callback order = %v", names)
 	}
 }
 

@@ -209,7 +209,7 @@ func (s Span) End(attrs ...Attr) {
 }
 
 // Instant records a zero-duration marker under parent — an event with a
-// timestamp but no extent (a CellDone arrival, a heartbeat send). Like
+// timestamp but no extent (a CellBatch arrival, a heartbeat send). Like
 // End, the live event publishes even when the marker drops over the
 // span cap.
 func (t *Trace) Instant(parent Span, name string, attrs ...Attr) {
