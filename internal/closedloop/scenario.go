@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/icewire"
 	"repro/internal/mednet"
 	"repro/internal/physio"
 	"repro/internal/sim"
@@ -44,13 +45,6 @@ type PCAScenarioConfig struct {
 	// one per worker so ensemble runs reuse sample buffers across cells.
 	// The recorded contents are a pure function of the config either way.
 	Trace *sim.Trace
-
-	// WireCodec selects the ICE wire encoding for every endpoint in the
-	// rig: "" or "binary" (default), "json" (debug/compat). Simulation
-	// outcomes are codec-independent — the differential suite holds the
-	// rendered tables byte-identical across both — so this is a debug
-	// and benchmarking knob, not a clinical one.
-	WireCodec string
 }
 
 // DefaultPCAScenario returns a 2-hour session reproducing the adverse-
@@ -82,7 +76,7 @@ type PCAScenario struct {
 	K        *sim.Kernel
 	Net      *mednet.Network
 	Mgr      *core.Manager
-	Wire     core.Codec // the cell's shared wire codec (encode accounting)
+	Wire     *icewire.Binary // the cell's shared wire codec (encode accounting)
 	Patient  *physio.Patient
 	Pump     *device.Pump
 	Oximeter *device.Oximeter
@@ -137,7 +131,7 @@ func BuildPCAScenario(cfg PCAScenarioConfig) *PCAScenario {
 	net := mednet.MustNew(k, netRNG, cfg.Link)
 	// One codec instance serves the whole cell (it is single-threaded),
 	// sharing the decode intern table and summing encode accounting.
-	wire := core.MustNewCodec(cfg.WireCodec)
+	wire := core.NewBinaryCodec()
 	mgrCfg := core.DefaultManagerConfig()
 	mgrCfg.Codec = wire
 	mgr := core.MustNewManager(k, net, mgrCfg)

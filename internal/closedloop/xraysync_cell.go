@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/icewire"
 	"repro/internal/mednet"
 	"repro/internal/physio"
 	"repro/internal/sim"
@@ -25,10 +26,6 @@ type XRaySyncScenarioConfig struct {
 	// Trace, when non-nil, is the (empty or Reset) trace to record into —
 	// see PCAScenarioConfig.Trace.
 	Trace *sim.Trace
-
-	// WireCodec selects the ICE wire encoding for the rig's endpoints —
-	// see PCAScenarioConfig.WireCodec.
-	WireCodec string
 }
 
 // DefaultXRaySyncScenario returns the E2 rig at its nominal network
@@ -90,7 +87,7 @@ type XRaySyncScenario struct {
 	K       *sim.Kernel
 	Net     *mednet.Network
 	Mgr     *core.Manager
-	Wire    core.Codec
+	Wire    *icewire.Binary
 	Patient *physio.Patient
 	Vent    *device.Ventilator
 	XRay    *device.XRay
@@ -121,7 +118,7 @@ func BuildXRaySyncScenario(cfg XRaySyncScenarioConfig) (*XRaySyncScenario, error
 	rng := sim.NewRNG(cfg.Seed)
 	netRNG := rng.Fork("net")
 	net := mednet.MustNew(k, netRNG, cfg.Link)
-	wire := core.MustNewCodec(cfg.WireCodec)
+	wire := core.NewBinaryCodec()
 	mgrCfg := core.DefaultManagerConfig()
 	mgrCfg.Codec = wire
 	mgr := core.MustNewManager(k, net, mgrCfg)

@@ -9,7 +9,7 @@ import (
 
 // Device self-description travels on the wire (the body of a
 // MsgAnnounce), so the types live in internal/icewire next to their
-// codecs; core aliases them.
+// codec; core aliases them.
 type (
 	DeviceKind      = icewire.DeviceKind
 	CapabilityClass = icewire.CapabilityClass

@@ -23,7 +23,7 @@ type DeviceConn struct {
 	k       *sim.Kernel
 	net     *mednet.Network
 	auth    Authenticator
-	codec   Codec
+	codec   *icewire.Binary
 	seq     uint64
 	beat    *sim.Ticker
 	replay  replayWindow
@@ -45,7 +45,6 @@ type DeviceConn struct {
 	cmdScratch   Command
 	ackScratch   CommandAck
 	admitScratch AdmitResult
-	sigScratch   []byte
 
 	// Counters for experiments.
 	CommandsOK     uint64
@@ -59,9 +58,9 @@ type ConnectConfig struct {
 	HeartbeatInterval time.Duration // default 1 s
 	Auth              Authenticator // nil disables signing
 
-	// Codec selects the wire encoding; nil means a fresh instance of
-	// the default binary codec. See ManagerConfig.Codec.
-	Codec Codec
+	// Codec is the endpoint's wire codec; nil means a fresh instance.
+	// See ManagerConfig.Codec.
+	Codec *icewire.Binary
 }
 
 // Connect registers the device on the network and announces it to the
@@ -90,11 +89,6 @@ func Connect(k *sim.Kernel, net *mednet.Network, desc Descriptor, cfg ConnectCon
 		handlers:  make(map[string]CommandHandler),
 		topics:    make(map[string]string, len(desc.Capabilities)),
 		connected: true,
-	}
-	if cfg.Auth != nil {
-		// Signing-bytes scratch, used only by the JSON debug codec (the
-		// binary codec's signing window is a frame subslice).
-		c.sigScratch = make([]byte, 0, 1024)
 	}
 	net.Register(desc.ID, c.onMessage)
 	c.sendEnvelope(MsgAnnounce, &c.desc)
@@ -212,7 +206,7 @@ func (c *DeviceConn) Connected() bool { return c.connected }
 // buffer, sign the encoded frame, patch the tag in. See sendFrame.
 func (c *DeviceConn) sendEnvelope(t MsgType, body any) {
 	c.seq++
-	sendFrame(c.net, c.codec, c.auth, &c.sigScratch, t, c.desc.ID, c.mgrAddr, c.seq, c.k.Now(), body)
+	sendFrame(c.net, c.codec, c.auth, t, c.desc.ID, c.mgrAddr, c.seq, c.k.Now(), body)
 }
 
 func (c *DeviceConn) onMessage(msg mednet.Message) {
@@ -222,7 +216,7 @@ func (c *DeviceConn) onMessage(msg mednet.Message) {
 	}
 	c.envScratch = e
 	env := &c.envScratch
-	if err := verifyEnvelope(c.auth, &c.sigScratch, env, msg.Payload); err != nil {
+	if err := verifyEnvelope(c.auth, env); err != nil {
 		c.AuthRejected++
 		return
 	}

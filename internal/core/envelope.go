@@ -6,12 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-// The ICE wire types and codecs are defined in internal/icewire (one
-// source of truth shared with the fuzz and differential harnesses); core
-// aliases them so the rest of the tree keeps its vocabulary. The binary
-// codec is the default wire encoding; JSON is retained as the
-// debug/compat codec, selectable per Manager/DeviceConn via
-// ManagerConfig.Codec and ConnectConfig.Codec.
+// The ICE wire types and the binary codec are defined in
+// internal/icewire (one source of truth shared with the fuzz
+// harnesses); core aliases them so the rest of the tree keeps its
+// vocabulary. Every endpoint speaks the one binary codec; a rig passes
+// the same *icewire.Binary to its manager and devices via
+// ManagerConfig.Codec and ConnectConfig.Codec to share one intern
+// table and one set of encode accounting.
 type (
 	MsgType     = icewire.MsgType
 	Envelope    = icewire.Envelope
@@ -19,7 +20,6 @@ type (
 	Command     = icewire.Command
 	CommandAck  = icewire.CommandAck
 	AdmitResult = icewire.AdmitResult
-	Codec       = icewire.Codec
 	CodecStats  = icewire.CodecStats
 )
 
@@ -33,34 +33,17 @@ const (
 	MsgBye        = icewire.MsgBye
 )
 
-// NewCodec constructs a wire codec by name: "" or "binary" (default),
-// "json" (debug/compat).
-func NewCodec(name string) (Codec, error) { return icewire.NewCodec(name) }
-
-// MustNewCodec is NewCodec for known-good names.
-func MustNewCodec(name string) Codec { return icewire.MustNewCodec(name) }
-
-// NewBinaryCodec returns a fresh instance of the default binary codec.
-func NewBinaryCodec() Codec { return icewire.NewBinary() }
-
-// NewJSONCodec returns a fresh instance of the JSON debug/compat codec.
-func NewJSONCodec() Codec { return icewire.NewJSON() }
-
-// Encode marshals an envelope with the given typed body in the JSON
-// debug/compat encoding. Stateless; kept for tests and tools that build
-// frames outside a connection (hot paths go through a Codec instance).
-func Encode(t MsgType, from, to string, seq uint64, at sim.Time, body any) ([]byte, error) {
-	return icewire.EncodeJSON(t, from, to, seq, at, body)
-}
+// NewBinaryCodec returns a fresh binary codec instance.
+func NewBinaryCodec() *icewire.Binary { return icewire.NewBinary() }
 
 // sendFrame is the one signed-send sequence both endpoints (Manager and
 // DeviceConn) share: encode the envelope once into a pooled network
 // buffer and, when an authenticator is configured, sign the encoded
-// frame's canonical bytes and patch the tag in — never re-serialize.
-// A frame that cannot be signed (no key provisioned) goes out unsigned;
-// the receiver's Verify is the enforcement point. sig is the caller's
-// scratch buffer for the signing bytes.
-func sendFrame(net *mednet.Network, codec Codec, auth Authenticator, sig *[]byte,
+// frame's canonical bytes (a subslice of the frame) and patch the tag in
+// — never re-serialize. A frame that cannot be signed (no key
+// provisioned) goes out unsigned; the receiver's Verify is the
+// enforcement point.
+func sendFrame(net *mednet.Network, codec *icewire.Binary, auth Authenticator,
 	t MsgType, from, to string, seq uint64, at sim.Time, body any) {
 	buf := net.AcquireBuf()
 	frame, err := codec.AppendEnvelope(buf.B[:0], t, from, to, seq, at, body)
@@ -68,8 +51,7 @@ func sendFrame(net *mednet.Network, codec Codec, auth Authenticator, sig *[]byte
 		panic(err) // endpoint bodies are all encodable wire structs
 	}
 	if auth != nil {
-		if s, err := codec.Signing((*sig)[:0], frame); err == nil {
-			retainScratch(sig, s, frame)
+		if s, err := codec.Signing(frame); err == nil {
 			if tag, err := auth.Sign(from, s); err == nil {
 				if patched, err := codec.PatchAuth(frame, tag); err == nil {
 					frame = patched
@@ -82,31 +64,11 @@ func sendFrame(net *mednet.Network, codec Codec, auth Authenticator, sig *[]byte
 }
 
 // verifyEnvelope checks a decoded envelope's tag against its canonical
-// signing bytes (zero-copy for binary frames). A nil authenticator
-// accepts everything; sig is the caller's scratch buffer; frame is the
-// wire bytes env was decoded from.
-func verifyEnvelope(auth Authenticator, sig *[]byte, env *Envelope, frame []byte) error {
+// signing bytes — the zero-copy signing window Decode set. A nil
+// authenticator accepts everything.
+func verifyEnvelope(auth Authenticator, env *Envelope) error {
 	if auth == nil {
 		return nil
 	}
-	s := env.AppendSigning((*sig)[:0])
-	retainScratch(sig, s, frame)
-	return auth.Verify(env.From, s, env.Auth)
-}
-
-// retainScratch stores a (possibly reallocated) signing buffer back on
-// its owner so growth beyond the initial capacity is paid once, not per
-// message — unless the codec returned a window into the frame itself
-// (the binary zero-copy path, recognizable by its first byte: a frame
-// window always starts at frame[0]), which must never be retained: the
-// frame buffer is pooled and will be overwritten.
-func retainScratch(sig *[]byte, s, frame []byte) {
-	if len(s) > 0 && (len(frame) == 0 || &s[0] != &frame[0]) {
-		*sig = s[:0]
-	}
-}
-
-// Decode unmarshals a JSON envelope from the wire.
-func Decode(data []byte) (Envelope, error) {
-	return icewire.DecodeJSON(data)
+	return auth.Verify(env.From, env.SigningBytes(), env.Auth)
 }

@@ -53,11 +53,11 @@ type ManagerConfig struct {
 	Admission         AdmissionPolicy
 	Auth              Authenticator // nil disables authentication
 
-	// Codec selects the wire encoding; nil means a fresh instance of the
-	// default binary codec. Pass the same instance to every endpoint of
-	// a cell to share its intern table and encode accounting (codec
-	// instances are single-threaded, like the cell itself).
-	Codec Codec
+	// Codec is the endpoint's wire codec; nil means a fresh instance.
+	// Pass the same instance to every endpoint of a cell to share its
+	// intern table and encode accounting (codec instances are
+	// single-threaded, like the cell itself).
+	Codec *icewire.Binary
 }
 
 // DefaultManagerConfig returns sane clinical defaults: 1 s heartbeats,
@@ -164,7 +164,7 @@ type Manager struct {
 	cfg     ManagerConfig
 	k       *sim.Kernel
 	net     *mednet.Network
-	codec   Codec
+	codec   *icewire.Binary
 	devices map[string]*managedDevice
 	subs    []subscription
 	watch   []func(id string, st DeviceStatus)
@@ -180,14 +180,11 @@ type Manager struct {
 	// Scratch state for the zero-allocation receive path: each incoming
 	// frame decodes into these manager-owned slots (handlers run
 	// synchronously, one message at a time, so the slots are never live
-	// across messages), keeping pointers to them off the heap-escape
-	// path that local variables passed through the Codec interface
-	// would take.
+	// across messages), so no per-message value escapes to the heap.
 	envScratch   Envelope
 	datumScratch Datum
 	ackScratch   CommandAck
 	cmdScratch   Command // outgoing SendCommand body
-	sigScratch   []byte  // signing-bytes buffer for Sign/Verify
 
 	// Counters for experiments and audit.
 	AuthRejected   uint64
@@ -219,11 +216,6 @@ func NewManager(k *sim.Kernel, net *mednet.Network, cfg ManagerConfig) (*Manager
 		codec:   cfg.Codec,
 		devices: make(map[string]*managedDevice),
 		pending: make(map[uint64]*pendingCmd),
-	}
-	if cfg.Auth != nil {
-		// Signing-bytes scratch, used only by the JSON debug codec (the
-		// binary codec's signing window is a frame subslice).
-		m.sigScratch = make([]byte, 0, 1024)
 	}
 	net.Register(cfg.Addr, m.onMessage)
 	m.sweeper = k.Every(cfg.HeartbeatInterval, func(sim.Time) { m.sweepLiveness() })
@@ -333,7 +325,7 @@ func (m *Manager) SendCommand(deviceID, name string, args map[string]float64, ti
 // re-marshal round trip. See sendFrame.
 func (m *Manager) send(to string, t MsgType, body any) {
 	m.seq++
-	sendFrame(m.net, m.codec, m.cfg.Auth, &m.sigScratch, t, m.cfg.Addr, to, m.seq, m.k.Now(), body)
+	sendFrame(m.net, m.codec, m.cfg.Auth, t, m.cfg.Addr, to, m.seq, m.k.Now(), body)
 }
 
 func (m *Manager) onMessage(msg mednet.Message) {
@@ -343,12 +335,11 @@ func (m *Manager) onMessage(msg mednet.Message) {
 		return
 	}
 	// Decode into the manager-owned scratch slot: handlers run
-	// synchronously one message at a time, and a pointer to the slot
-	// never forces a per-message heap allocation the way a stack
-	// variable escaping through the Codec interface would.
+	// synchronously one message at a time, so the slot is never live
+	// across messages and no per-message envelope reaches the heap.
 	m.envScratch = e
 	env := &m.envScratch
-	if err := verifyEnvelope(m.cfg.Auth, &m.sigScratch, env, msg.Payload); err != nil {
+	if err := verifyEnvelope(m.cfg.Auth, env); err != nil {
 		m.AuthRejected++
 		if d, ok := m.devices[env.From]; ok {
 			d.status.AuthFailures++

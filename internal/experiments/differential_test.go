@@ -7,81 +7,59 @@ import (
 	"repro/internal/sim"
 )
 
-// The differential determinism suite, along two independent axes:
-//
-// Kernel backend: the arena kernel must reproduce the pre-refactor
-// container/heap kernel byte for byte at the level that matters —
-// rendered experiment tables and reduced fleet summaries — at every
-// worker count. The reference backend lives in internal/sim/refqueue.go
-// solely to anchor this comparison.
-//
-// Wire codec: the binary envelope codec must reproduce the JSON codec's
-// tables byte for byte. Scenario outcomes are functions of delivered
-// values, never of wire bytes, so any divergence is a codec bug (a value
-// that did not survive the wire bit-exactly, or an encode path that
-// perturbed RNG-visible behavior).
+// The differential determinism suite along the kernel-backend axis: the
+// arena kernel must reproduce the pre-refactor container/heap kernel
+// byte for byte at the level that matters — rendered experiment tables
+// and reduced fleet summaries — at every worker count. The reference
+// backend lives in internal/sim/refqueue.go solely to anchor this
+// comparison.
 
-// differentially renders the same workload across kernel backends (with
-// the default binary codec), then across wire codecs (on the default
-// kernel), and asserts every rendering is byte-identical.
-func differentially(t *testing.T, render func(workers int, codec string) (string, error)) {
+// differentially renders the same workload on both kernel backends at
+// 1 and 4 workers and asserts every rendering is byte-identical.
+func differentially(t *testing.T, render func(workers int) (string, error)) {
 	t.Helper()
+	defer sim.SetReferenceQueueForTest(false)
 	var baseline string
-	check := func(label string, workers int, codec string) {
-		out, err := render(workers, codec)
-		if err != nil {
-			sim.SetReferenceQueueForTest(false)
-			t.Fatal(err)
-		}
-		if baseline == "" {
-			baseline = out
-			return
-		}
-		if out != baseline {
-			sim.SetReferenceQueueForTest(false)
-			t.Fatalf("%s workers=%d codec=%s diverged:\n%s\nvs baseline:\n%s", label, workers, codec, out, baseline)
-		}
-	}
 	for _, ref := range []bool{false, true} {
 		sim.SetReferenceQueueForTest(ref)
-		for _, workers := range []int{1, 4} {
-			label := "kernel=arena"
-			if ref {
-				label = "kernel=reference"
-			}
-			check(label, workers, "binary")
+		label := "kernel=arena"
+		if ref {
+			label = "kernel=reference"
 		}
-	}
-	sim.SetReferenceQueueForTest(false)
-	for _, codec := range []string{"json"} {
 		for _, workers := range []int{1, 4} {
-			check("kernel=arena", workers, codec)
+			out, err := render(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if baseline == "" {
+				baseline = out
+			} else if out != baseline {
+				t.Fatalf("%s workers=%d diverged:\n%s\nvs baseline:\n%s", label, workers, out, baseline)
+			}
 		}
 	}
 }
 
 func TestDifferentialF1(t *testing.T) {
-	differentially(t, func(workers int, codec string) (string, error) {
+	differentially(t, func(workers int) (string, error) {
 		tab, err := F1PCAControlLoop(F1Options{
-			Seed: 42, Duration: 30 * sim.Minute, Trials: 3, Workers: workers, WireCodec: codec,
+			Seed: 42, Duration: 30 * sim.Minute, Trials: 3, Workers: workers,
 		})
 		return tab.String(), err
 	})
 }
 
 func TestDifferentialE6(t *testing.T) {
-	differentially(t, func(workers int, codec string) (string, error) {
+	differentially(t, func(workers int) (string, error) {
 		tab, err := E6CommFailure(E6Options{
-			Seed: 7, Duration: 30 * sim.Minute, Losses: []float64{0, 0.3}, Workers: workers, WireCodec: codec,
+			Seed: 7, Duration: 30 * sim.Minute, Losses: []float64{0, 0.3}, Workers: workers,
 		})
 		return tab.String(), err
 	})
 }
 
 func TestDifferentialE7(t *testing.T) {
-	// E7 is wire-free (synthetic series scored in-process); the codec
-	// axis degenerates to a replay, which must of course still agree.
-	differentially(t, func(workers int, _ string) (string, error) {
+	differentially(t, func(workers int) (string, error) {
 		tab, err := E7AdaptiveThresholds(E7Options{
 			Seed: 5, Athletes: 3, Average: 3, Duration: 2 * sim.Hour, Workers: workers,
 		})
@@ -90,9 +68,9 @@ func TestDifferentialE7(t *testing.T) {
 }
 
 func TestDifferentialXRayVentSyncFleet(t *testing.T) {
-	differentially(t, func(workers int, codec string) (string, error) {
+	differentially(t, func(workers int) (string, error) {
 		spec, err := fleet.Build(fleet.ScenarioXRayVentSync, fleet.Params{
-			Seed: 11, Cells: 4, WireCodec: codec,
+			Seed: 11, Cells: 4,
 			Knobs: map[string]float64{"requests": 12},
 		})
 		if err != nil {

@@ -11,11 +11,10 @@ import (
 
 // E6Options scale the communication-failure sweep.
 type E6Options struct {
-	Seed      int64
-	Duration  sim.Time  // 0 = 2 h
-	Losses    []float64 // packet-loss probabilities to sweep
-	Workers   int       // fleet worker pool width; 0 = serial
-	WireCodec string    // ICE wire encoding inside cells; "" = binary
+	Seed     int64
+	Duration sim.Time  // 0 = 2 h
+	Losses   []float64 // packet-loss probabilities to sweep
+	Workers  int       // fleet worker pool width; 0 = serial
 
 	// Engine distributes the sweep's cells when non-nil (see
 	// Options.Engine); tables are byte-identical either way.
@@ -84,11 +83,10 @@ func E6CommFailure(opt E6Options) (Table, error) {
 			failsafe = 1
 		}
 		spec, err := fleet.Build(fleet.ScenarioPCACommFault, fleet.Params{
-			Seed:      opt.Seed,
-			Cells:     1,
-			Duration:  opt.Duration,
-			WireCodec: opt.WireCodec,
-			Knobs:     map[string]float64{"loss": c.loss, "failsafe": failsafe},
+			Seed:     opt.Seed,
+			Cells:    1,
+			Duration: opt.Duration,
+			Knobs:    map[string]float64{"loss": c.loss, "failsafe": failsafe},
 		})
 		if err != nil {
 			return t, fmt.Errorf("E6: %w", err)

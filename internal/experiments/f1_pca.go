@@ -12,11 +12,10 @@ import (
 
 // F1Options scale the Figure 1 reproduction.
 type F1Options struct {
-	Seed      int64
-	Duration  sim.Time // 0 = 2 h
-	Trials    int      // independent patient sessions per configuration; 0 = 1
-	Workers   int      // fleet worker pool width; 0 = serial
-	WireCodec string   // ICE wire encoding inside cells; "" = binary
+	Seed     int64
+	Duration sim.Time // 0 = 2 h
+	Trials   int      // independent patient sessions per configuration; 0 = 1
+	Workers  int      // fleet worker pool width; 0 = serial
 
 	// Engine distributes the trial ensembles when non-nil (see
 	// Options.Engine); tables are byte-identical either way.
@@ -56,7 +55,7 @@ func F1PCAControlLoop(opt F1Options) (Table, error) {
 			"drug (mg)", "boluses", "denied", "stops", "alarms"},
 	}
 
-	params := fleet.Params{Seed: opt.Seed, Cells: trials, Duration: opt.Duration, WireCodec: opt.WireCodec}
+	params := fleet.Params{Seed: opt.Seed, Cells: trials, Duration: opt.Duration}
 	specs := make([]fleet.Spec, 0, 2)
 	for _, name := range []string{fleet.ScenarioPCAUnsupervised, fleet.ScenarioPCASupervised} {
 		spec, err := fleet.Build(name, params)

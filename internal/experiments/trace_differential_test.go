@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/icescope"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
 
 // TestDifferentialTracing renders every catalog experiment — the full
 // set of icerun tables — once bare and once under an active icescope
@@ -15,6 +21,11 @@ import (
 // turning them on cannot perturb a single byte of output. Fleet-backed
 // experiments run multi-worker so the per-worker span buffers and the
 // latency histograms are actually exercised.
+//
+// The bare renders, concatenated, are also pinned against
+// testdata/tables.golden, so a change to any of the fourteen tables
+// fails here. After an intended change, re-pin with
+// go test ./internal/experiments -run TestDifferentialTracing -update.
 func TestDifferentialTracing(t *testing.T) {
 	plain := Options{Seed: 1, Cells: 2, Workers: 2}
 
@@ -29,11 +40,13 @@ func TestDifferentialTracing(t *testing.T) {
 	traced.Trace = root
 	traced.Obs = obs
 
+	var tables strings.Builder
 	for _, id := range IDs() {
 		bare, err := Run(id, plain)
 		if err != nil {
 			t.Fatalf("%s bare: %v", id, err)
 		}
+		tables.WriteString(bare.String() + "\n")
 		instrumented, err := Run(id, traced)
 		if err != nil {
 			t.Fatalf("%s traced: %v", id, err)
@@ -44,6 +57,7 @@ func TestDifferentialTracing(t *testing.T) {
 		}
 	}
 	root.End()
+	checkTablesGolden(t, tables.String())
 
 	// The instrumentation must have actually observed something, or this
 	// differential proved nothing.
@@ -55,5 +69,27 @@ func TestDifferentialTracing(t *testing.T) {
 	}
 	if err := icescope.Lint(reg.Expose()); err != nil {
 		t.Errorf("histogram exposition fails lint: %v", err)
+	}
+}
+
+// checkTablesGolden compares the concatenated table renders with
+// testdata/tables.golden, rewriting the file first under -update.
+func checkTablesGolden(t *testing.T, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "tables.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to write it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("tables drifted from %s (re-pin with -update only after an intended change)\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }

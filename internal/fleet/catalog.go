@@ -121,7 +121,6 @@ func pcaFactory(supervised bool) Factory {
 		cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
 			cfg := pcaConfig(seed, p.Duration)
 			cfg.SupervisorEnabled = supervised
-			cfg.WireCodec = p.WireCodec
 			return cfg
 		}
 		return Spec{
@@ -162,7 +161,6 @@ func xraySyncFactory(p Params) Spec {
 			Jitter:   delay / 4,
 			LossProb: p.Knob("loss", 0.02),
 		}
-		cfg.WireCodec = p.WireCodec
 		return cfg
 	}
 	return Spec{
@@ -220,7 +218,6 @@ func teleProbeFactory(p Params) Spec {
 	cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
 		cfg := pcaConfig(seed, p.Duration)
 		cfg.SupervisorEnabled = true
-		cfg.WireCodec = p.WireCodec
 		return cfg
 	}
 	pace := func(seed int64) {
@@ -253,7 +250,6 @@ func teleProbeFactory(p Params) Spec {
 func commFaultFactory(p Params) Spec {
 	cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
 		cfg := pcaConfig(seed, p.Duration)
-		cfg.WireCodec = p.WireCodec
 		cfg.Link = mednet.LinkParams{
 			Latency:  5 * time.Millisecond,
 			Jitter:   2 * time.Millisecond,

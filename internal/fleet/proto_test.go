@@ -40,41 +40,37 @@ func renderResults(rs []Result) string {
 // TestPrototypeCloneByteIdentical is the core tentpole gate at the fleet
 // level: for every built-in scenario, cloned cells must match
 // from-scratch cells result-for-result — same metrics, same kernel event
-// counts, same wire bytes — across worker counts, kernel backends, and
-// wire codecs. Sorted-map rendering via %v makes the comparison total.
+// counts, same wire bytes — across worker counts and kernel backends.
+// Sorted-map rendering via %v makes the comparison total.
 func TestPrototypeCloneByteIdentical(t *testing.T) {
 	defer sim.SetReferenceQueueForTest(false)
 	defer SetPrototypesForTest(true)
 	for name, p := range protoCatalogParams() {
 		for _, ref := range []bool{false, true} {
 			sim.SetReferenceQueueForTest(ref)
-			for _, codec := range []string{"binary", "json"} {
-				pc := p
-				pc.WireCodec = codec
-				spec, err := Build(name, pc)
+			spec, err := Build(name, p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if spec.NewProto == nil {
+				t.Fatalf("%s: catalog spec did not opt into prototyping", name)
+			}
+			SetPrototypesForTest(false)
+			scratchRes, err := Runner{Workers: 1}.Run(spec)
+			SetPrototypesForTest(true)
+			if err != nil {
+				t.Fatalf("%s from-scratch: %v", name, err)
+			}
+			baseline := renderResults(stripWallClock(scratchRes))
+			for _, workers := range []int{1, 4} {
+				cloneRes, err := Runner{Workers: workers}.Run(spec)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s clone workers=%d: %v", name, workers, err)
 				}
-				if spec.NewProto == nil {
-					t.Fatalf("%s: catalog spec did not opt into prototyping", name)
-				}
-				SetPrototypesForTest(false)
-				scratchRes, err := Runner{Workers: 1}.Run(spec)
-				SetPrototypesForTest(true)
-				if err != nil {
-					t.Fatalf("%s from-scratch: %v", name, err)
-				}
-				baseline := renderResults(stripWallClock(scratchRes))
-				for _, workers := range []int{1, 4} {
-					cloneRes, err := Runner{Workers: workers}.Run(spec)
-					if err != nil {
-						t.Fatalf("%s clone workers=%d: %v", name, workers, err)
-					}
-					got := renderResults(stripWallClock(cloneRes))
-					if got != baseline {
-						t.Fatalf("%s ref=%v codec=%s workers=%d: clone diverged from from-scratch\nclone:\n%s\nscratch:\n%s",
-							name, ref, codec, workers, got, baseline)
-					}
+				got := renderResults(stripWallClock(cloneRes))
+				if got != baseline {
+					t.Fatalf("%s ref=%v workers=%d: clone diverged from from-scratch\nclone:\n%s\nscratch:\n%s",
+						name, ref, workers, got, baseline)
 				}
 			}
 		}

@@ -14,12 +14,6 @@ type Params struct {
 	Cells    int
 	Duration sim.Time // 0 = scenario default
 
-	// WireCodec selects the ICE wire encoding inside each cell: "" or
-	// "binary" (default), "json" (debug/compat). Simulation outcomes are
-	// codec-independent; the differential suite replays scenarios under
-	// both and asserts byte-identical reductions.
-	WireCodec string
-
 	// Knobs carries scenario-specific numeric parameters ("loss",
 	// "failsafe", ...). Factories read them with Knob.
 	Knobs map[string]float64

@@ -578,7 +578,7 @@ func (c *Coordinator) assignToLocked(sh *meshShard, target *meshNode) assignment
 	return assignment{node: target, msg: &Assign{
 		Shard: sh.id, Scenario: sh.job.scenario,
 		Seed: p.Seed, Cells: p.Cells, Start: sh.start, End: sh.end,
-		Duration: p.Duration, Codec: p.WireCodec, Knobs: p.Knobs,
+		Duration: p.Duration, Knobs: p.Knobs,
 		// Traced jobs ask the node to forward its spans back; untraced
 		// ones skip the whole forwarding plane on the node.
 		Trace: sh.job.span.Active(),

@@ -349,7 +349,7 @@ func (f *spanForwarder) sendLocked(shard uint64) {
 // forwarding trace, an untraced one's must not.
 func assignKey(a *Assign) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%d|%d|%d|%s", a.Scenario, a.Seed, a.Cells, int64(a.Duration), a.Codec)
+	fmt.Fprintf(&sb, "%s|%d|%d|%d", a.Scenario, a.Seed, a.Cells, int64(a.Duration))
 	if a.Trace {
 		sb.WriteString("|traced")
 	}
@@ -381,11 +381,10 @@ func (n *Node) sessionFor(a *Assign) (*nodeSession, func(), error) {
 	ns := n.sessions[key]
 	if ns == nil {
 		spec, err := fleet.Build(a.Scenario, fleet.Params{
-			Seed:      a.Seed,
-			Cells:     a.Cells,
-			Duration:  a.Duration,
-			WireCodec: a.Codec,
-			Knobs:     a.Knobs,
+			Seed:     a.Seed,
+			Cells:    a.Cells,
+			Duration: a.Duration,
+			Knobs:    a.Knobs,
 		})
 		if err != nil {
 			return nil, nil, err

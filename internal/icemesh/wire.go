@@ -27,9 +27,10 @@ import (
 	"repro/internal/sim"
 )
 
-// MeshV1 is the protocol version byte every payload starts with;
-// unknown versions are rejected outright.
-const MeshV1 = 0x01
+// MeshV2 is the protocol version byte every payload starts with; any
+// other version is rejected outright, so a peer speaking another
+// layout is refused rather than misread.
+const MeshV2 = 0x02
 
 // MaxFrame bounds one RPC payload. Frames carry control metadata and one
 // cell's metric map at most, so a megabyte is generous; anything larger
@@ -74,7 +75,7 @@ type Heartbeat struct {
 // Assign ships one contiguous cell range [Start, End) of a registry
 // scenario to a node. Cells is the full ensemble size — the node
 // rebuilds the identical spec via fleet.Build{Seed, Cells, Duration,
-// WireCodec, Knobs} and runs only its range.
+// Knobs} and runs only its range.
 type Assign struct {
 	Shard    uint64 // coordinator-global shard ID, echoed in results
 	Scenario string
@@ -83,7 +84,6 @@ type Assign struct {
 	Start    int
 	End      int
 	Duration sim.Time
-	Codec    string // fleet.Params.WireCodec: "" = binary
 	Knobs    map[string]float64
 
 	// Trace asks the node to forward its spans for this job's work back
@@ -247,25 +247,25 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		if v.Capacity < 0 {
 			return dst, fmt.Errorf("icemesh: negative capacity %d", v.Capacity)
 		}
-		dst = append(dst, MeshV1, codeHello)
+		dst = append(dst, MeshV2, codeHello)
 		dst = icewire.AppendString(dst, v.Node)
 		return binary.AppendUvarint(dst, uint64(v.Capacity)), nil
 	case *Welcome:
-		dst = append(dst, MeshV1, codeWelcome)
+		dst = append(dst, MeshV2, codeWelcome)
 		dst = icewire.AppendString(dst, v.Node)
 		return binary.AppendUvarint(dst, v.HeartbeatMS), nil
 	case *Heartbeat:
 		if v.Inflight < 0 {
 			return dst, fmt.Errorf("icemesh: negative inflight %d", v.Inflight)
 		}
-		dst = append(dst, MeshV1, codeHeartbeat)
+		dst = append(dst, MeshV2, codeHeartbeat)
 		dst = binary.AppendUvarint(dst, uint64(v.Inflight))
 		return binary.AppendUvarint(dst, v.CellsDone), nil
 	case *Assign:
 		if v.Cells < 0 || v.Start < 0 || v.End < v.Start || v.End > v.Cells {
 			return dst, fmt.Errorf("icemesh: bad range [%d,%d) of %d cells", v.Start, v.End, v.Cells)
 		}
-		dst = append(dst, MeshV1, codeAssign)
+		dst = append(dst, MeshV2, codeAssign)
 		dst = binary.AppendUvarint(dst, v.Shard)
 		dst = icewire.AppendString(dst, v.Scenario)
 		dst = appendZigzag(dst, v.Seed)
@@ -273,14 +273,13 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(v.Start))
 		dst = binary.AppendUvarint(dst, uint64(v.End))
 		dst = appendZigzag(dst, int64(v.Duration))
-		dst = icewire.AppendString(dst, v.Codec)
 		dst = appendMap(dst, v.Knobs)
 		return icewire.AppendBool(dst, v.Trace), nil
 	case *CellBatch:
 		if len(v.Cells) == 0 {
 			return dst, errors.New("icemesh: empty cell batch")
 		}
-		dst = append(dst, MeshV1, codeCellBatch)
+		dst = append(dst, MeshV2, codeCellBatch)
 		dst = binary.AppendUvarint(dst, uint64(len(v.Cells)))
 		for i := range v.Cells {
 			if v.Cells[i].Index < 0 {
@@ -293,7 +292,7 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		if len(v.Spans) == 0 {
 			return dst, errors.New("icemesh: empty span batch")
 		}
-		dst = append(dst, MeshV1, codeSpanBatch)
+		dst = append(dst, MeshV2, codeSpanBatch)
 		dst = binary.AppendUvarint(dst, v.Shard)
 		dst = binary.AppendUvarint(dst, v.NowNS)
 		dst = binary.AppendUvarint(dst, uint64(len(v.Spans)))
@@ -318,11 +317,11 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		}
 		return dst, nil
 	case *ShardDone:
-		dst = append(dst, MeshV1, codeShardDone)
+		dst = append(dst, MeshV2, codeShardDone)
 		dst = binary.AppendUvarint(dst, v.Shard)
 		return icewire.AppendString(dst, v.Err), nil
 	case *Drain:
-		dst = append(dst, MeshV1, codeDrain)
+		dst = append(dst, MeshV2, codeDrain)
 		return icewire.AppendString(dst, v.Reason), nil
 	default:
 		return dst, fmt.Errorf("icemesh: cannot encode message type %T", m)
@@ -349,7 +348,7 @@ func DecodeMessage(data []byte) (any, error) {
 	if len(data) < 2 {
 		return nil, errors.New("icemesh: truncated payload")
 	}
-	if data[0] != MeshV1 {
+	if data[0] != MeshV2 {
 		return nil, fmt.Errorf("icemesh: unsupported protocol version 0x%02x", data[0])
 	}
 	r := icewire.NewReader(data[2:])
@@ -451,9 +450,6 @@ func decodeAssign(r *icewire.Reader, v *Assign) error {
 		return err
 	}
 	v.Duration = sim.Time(d)
-	if v.Codec, err = r.String(); err != nil {
-		return err
-	}
 	if v.Knobs, err = readMap(r); err != nil {
 		return err
 	}

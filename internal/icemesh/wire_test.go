@@ -32,7 +32,7 @@ func goldenMessages() []struct {
 		{"welcome", &Welcome{Node: "node-a", HeartbeatMS: 1000}},
 		{"heartbeat", &Heartbeat{Inflight: 2, CellsDone: 300}},
 		{"assign", &Assign{Shard: 9, Scenario: "pca-supervised", Seed: -42, Cells: 64, Start: 16, End: 32,
-			Duration: 2 * sim.Hour, Codec: "binary", Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
+			Duration: 2 * sim.Hour, Knobs: map[string]float64{"failsafe": 1, "loss": 0.15}}},
 		{"assign-traced", &Assign{Shard: 10, Scenario: "tele-icu-probe", Seed: 7, Cells: 8, Start: 0, End: 4,
 			Duration: sim.Hour, Trace: true}},
 		{"cellbatch", &CellBatch{Cells: []CellDone{
@@ -53,8 +53,8 @@ func goldenMessages() []struct {
 
 // TestGoldenMeshVectors pins the mesh RPC format byte for byte, exactly
 // as icewire's golden vectors pin the envelope codec. A failure means
-// the format changed — bump MeshV1 and write a migration, don't
-// regenerate blindly.
+// the format changed — bump the protocol version (MeshV2) and write a
+// migration, don't regenerate blindly.
 func TestGoldenMeshVectors(t *testing.T) {
 	for _, g := range goldenMessages() {
 		payload, err := AppendMessage(nil, g.msg)
@@ -95,7 +95,7 @@ func TestMeshVersionAndTypeRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0x00, 0x02, 0xFF} {
+	for _, v := range []byte{0x00, 0x01, 0x03, 0xFF} {
 		bad := append([]byte(nil), payload...)
 		bad[0] = v
 		if _, err := DecodeMessage(bad); err == nil || !strings.Contains(err.Error(), "version") {
@@ -113,6 +113,16 @@ func TestMeshVersionAndTypeRejection(t *testing.T) {
 		if m, err := DecodeMessage(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Errorf("code-5 frame %x: got %+v, %v; want unknown message type", frame, m, err)
 		}
+	}
+	// A version-1 Assign, whose codec name sits where version 2 keeps
+	// Knobs, is refused by its version byte instead of misread.
+	v1Assign, err := hex.DecodeString("0104090e7063612d737570657276697365645340102080808a978ca3030662696e6172790208" +
+		"6661696c73616665000000000000f03f046c6f7373333333333333c33f00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := DecodeMessage(v1Assign); err == nil || !strings.Contains(err.Error(), "unsupported protocol version 0x01") {
+		t.Errorf("v1 assign: got %+v, %v; want unsupported protocol version 0x01", m, err)
 	}
 }
 
@@ -132,7 +142,7 @@ func retiredCellDoneFrames(tb testing.TB) [][]byte {
 			tb.Fatal(err)
 		}
 		// batch[2] is the one-byte entry count; the entry follows it.
-		frames = append(frames, append([]byte{MeshV1, 5}, batch[3:]...))
+		frames = append(frames, append([]byte{MeshV2, 5}, batch[3:]...))
 	}
 	return frames
 }
@@ -148,10 +158,10 @@ func TestSpanBatchValidation(t *testing.T) {
 		t.Errorf("inverted span encode err = %v", err)
 	}
 	// Hand-built payloads with the same defects die at decode.
-	if _, err := DecodeMessage([]byte{MeshV1, codeSpanBatch, 0, 0, 0}); err == nil {
+	if _, err := DecodeMessage([]byte{MeshV2, codeSpanBatch, 0, 0, 0}); err == nil {
 		t.Error("empty span batch decoded")
 	}
-	if _, err := DecodeMessage([]byte{MeshV1, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}); err == nil {
+	if _, err := DecodeMessage([]byte{MeshV2, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}); err == nil {
 		t.Error("inverted span decoded")
 	}
 }
@@ -208,7 +218,7 @@ func TestMeshStreamFraming(t *testing.T) {
 	}
 
 	// A frame whose declared length exceeds the bytes behind it errors.
-	short := bufio.NewReader(bytes.NewReader([]byte{0x10, MeshV1, codeDrain}))
+	short := bufio.NewReader(bytes.NewReader([]byte{0x10, MeshV2, codeDrain}))
 	if _, err := ReadMessage(short); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
@@ -227,14 +237,14 @@ func FuzzDecodeMeshMessage(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{MeshV1})
-	f.Add([]byte{MeshV1, codeAssign, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add(append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...))
-	f.Add([]byte{MeshV1, codeCellBatch, 0})                            // empty batch: rejected
-	f.Add([]byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // hostile count
-	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0})                      // empty span batch: rejected
-	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add([]byte{MeshV1, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}) // span ends before it starts
+	f.Add([]byte{MeshV2})
+	f.Add([]byte{MeshV2, codeAssign, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add(append([]byte{MeshV2, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...))
+	f.Add([]byte{MeshV2, codeCellBatch, 0})                            // empty batch: rejected
+	f.Add([]byte{MeshV2, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // hostile count
+	f.Add([]byte{MeshV2, codeSpanBatch, 0, 0, 0})                      // empty span batch: rejected
+	f.Add([]byte{MeshV2, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{MeshV2, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}) // span ends before it starts
 	for _, frame := range retiredCellDoneFrames(f) {
 		f.Add(frame) // unknown type: rejected
 	}
@@ -279,7 +289,7 @@ func FuzzMeshRoundTrip(f *testing.F) {
 			msg = &Heartbeat{Inflight: n, CellsDone: u1}
 		case 3:
 			msg = &Assign{Shard: u1, Scenario: s1, Seed: i1, Cells: n, Start: n / 4, End: n / 2,
-				Duration: sim.Time(i1), Codec: s2, Knobs: kv}
+				Duration: sim.Time(i1), Knobs: kv}
 		case 4:
 			msg = &CellBatch{Cells: []CellDone{{Shard: u1, Index: n, Seed: i1, Events: u1,
 				WireBytes: u1 / 2, WireEncodeNS: u1 / 3, Err: s2, Metrics: kv}}}
@@ -340,15 +350,15 @@ func TestMeshFuzzSeedCorpus(t *testing.T) {
 		seeds["golden-"+g.name] = payload
 	}
 	seeds["empty"] = nil
-	seeds["version-only"] = []byte{MeshV1}
-	seeds["bad-version"] = []byte{0x02, codeHello, 0}
-	seeds["huge-count"] = []byte{MeshV1, codeAssign, 1, 1, 'x', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	seeds["overlong-varint"] = append([]byte{MeshV1, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...)
-	seeds["empty-batch"] = []byte{MeshV1, codeCellBatch, 0}
-	seeds["huge-batch-count"] = []byte{MeshV1, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	seeds["empty-span-batch"] = []byte{MeshV1, codeSpanBatch, 0, 0, 0}
-	seeds["huge-span-count"] = []byte{MeshV1, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	seeds["span-ends-before-start"] = []byte{MeshV1, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}
+	seeds["version-only"] = []byte{MeshV2}
+	seeds["bad-version"] = []byte{0x01, codeHello, 0}
+	seeds["huge-count"] = []byte{MeshV2, codeAssign, 1, 1, 'x', 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	seeds["overlong-varint"] = append([]byte{MeshV2, codeCellBatch}, bytes.Repeat([]byte{0x80}, 11)...)
+	seeds["empty-batch"] = []byte{MeshV2, codeCellBatch, 0}
+	seeds["huge-batch-count"] = []byte{MeshV2, codeCellBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	seeds["empty-span-batch"] = []byte{MeshV2, codeSpanBatch, 0, 0, 0}
+	seeds["huge-span-count"] = []byte{MeshV2, codeSpanBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
+	seeds["span-ends-before-start"] = []byte{MeshV2, codeSpanBatch, 0, 0, 1, 1, 'x', 5, 2, 0}
 	for name, data := range seeds {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {

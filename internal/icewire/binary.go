@@ -73,8 +73,10 @@ var classNames = [5]CapabilityClass{
 	1: ClassSensor, 2: ClassActuator, 3: ClassSetting, 4: ClassEvent,
 }
 
-// Binary is the default ICE wire codec. One instance serves one
-// simulation cell: the string intern table keeps steady-state decode
+// Binary is the ICE wire codec. One instance serves one simulation
+// cell and must not be shared across kernels or goroutines (cells are
+// single-threaded by construction; parallelism lives in the fleet
+// layer): the string intern table keeps steady-state decode
 // allocation-free, and the scratch buffers keep encode appends in place.
 type Binary struct {
 	st     codecStats
@@ -88,13 +90,14 @@ func NewBinary() *Binary {
 	return &Binary{intern: make(map[string]string)}
 }
 
-// Name implements Codec.
-func (c *Binary) Name() string { return "binary" }
-
-// Stats implements Codec.
+// Stats reports cumulative encode-side accounting.
 func (c *Binary) Stats() CodecStats { return c.st.stats() }
 
-// AppendEnvelope implements Codec.
+// AppendEnvelope encodes one complete envelope — framing plus typed
+// body — directly into dst and returns the extended slice. body is nil
+// or one of *Datum, *Command, *CommandAck, *AdmitResult, *Descriptor
+// (value forms also accepted). The frame is unsigned; use Signing +
+// PatchAuth to authenticate it.
 func (c *Binary) AppendEnvelope(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body any) ([]byte, error) {
 	sampled := c.st.beginSample()
 	start := len(dst)
@@ -234,10 +237,9 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 	return dst, nil
 }
 
-// appendSigningFrame is the canonical signing form shared by every
-// codec: the binary framing of all fields except Auth. Message types
-// outside the wire protocol (possible on hand-built JSON envelopes)
-// encode as 0xFF + the type string — a code no real binary frame can
+// appendSigningFrame is the canonical signing form: the binary framing
+// of all fields except Auth. Message types outside the wire protocol
+// (possible on hand-built envelopes) encode as 0xFF + the type string — a code no real binary frame can
 // start its signing window with, so exotic envelopes stay signable
 // without colliding with protocol frames.
 func appendSigningFrame(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body []byte) []byte {
@@ -349,8 +351,9 @@ func (c *Binary) internString(b []byte) string {
 	return s
 }
 
-// Decode implements Codec. The returned envelope's From/To are interned,
-// and Body, Auth and the signing window alias the input buffer.
+// Decode parses one frame. The returned envelope's From/To are interned,
+// and Body, Auth and the signing window alias the input buffer; the
+// envelope is only valid as long as data is.
 func (c *Binary) Decode(data []byte) (Envelope, error) {
 	var env Envelope
 	if len(data) < 2 {
@@ -410,7 +413,8 @@ func (c *Binary) Decode(data []byte) (Envelope, error) {
 	return env, nil
 }
 
-// DecodeBody implements Codec.
+// DecodeBody decodes e's body into out, which must be a pointer to one
+// of the body types AppendEnvelope accepts.
 func (c *Binary) DecodeBody(e *Envelope, out any) error {
 	if len(e.Body) == 0 {
 		return fmt.Errorf("core: %s envelope has empty body", e.Type)
@@ -642,15 +646,17 @@ func splitAuth(frame []byte) (signing, auth []byte, err error) {
 	return frame[:signingEnd], auth, nil
 }
 
-// Signing implements Codec: for binary frames the canonical signing
-// bytes are a subslice of the frame itself, so dst is unused.
-func (c *Binary) Signing(dst, frame []byte) ([]byte, error) {
+// Signing returns the canonical signing bytes of an unsigned frame: a
+// subslice of the frame itself, valid only until frame is reused.
+func (c *Binary) Signing(frame []byte) ([]byte, error) {
 	signing, _, err := splitAuth(frame)
 	return signing, err
 }
 
-// PatchAuth implements Codec: the auth field is the frame's final field,
-// so attaching a tag replaces the empty auth suffix in place.
+// PatchAuth attaches an authentication tag to an unsigned encoded frame
+// without re-encoding the envelope, returning the (possibly
+// reallocated) frame: the auth field is the frame's final field, so the
+// tag replaces the empty auth suffix in place.
 func (c *Binary) PatchAuth(frame, tag []byte) ([]byte, error) {
 	signing, auth, err := splitAuth(frame)
 	if err != nil {

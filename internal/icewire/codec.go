@@ -3,51 +3,7 @@ package icewire
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/sim"
 )
-
-// Codec is one wire encoding of the ICE protocol. A codec instance is
-// owned by a single simulation cell (it keeps intern tables and scratch
-// buffers) and must not be shared across kernels or goroutines; the cost
-// of that restriction is zero because cells are single-threaded by
-// construction and parallelism lives in the fleet layer.
-type Codec interface {
-	// Name identifies the codec ("binary", "json") for config surfaces
-	// and metrics.
-	Name() string
-
-	// AppendEnvelope encodes one complete envelope — framing plus typed
-	// body — directly into dst and returns the extended slice. body is
-	// nil or one of *Datum, *Command, *CommandAck, *AdmitResult,
-	// *Descriptor (value forms also accepted). The frame is unsigned;
-	// use Signing + PatchAuth to authenticate it.
-	AppendEnvelope(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body any) ([]byte, error)
-
-	// Decode parses one frame. The returned envelope's Body (and, for
-	// the binary codec, Auth and signing window) reference the input
-	// buffer; the envelope is only valid as long as data is.
-	Decode(data []byte) (Envelope, error)
-
-	// DecodeBody decodes e's body into out, which must be a pointer to
-	// one of the body types above.
-	DecodeBody(e *Envelope, out any) error
-
-	// Signing returns the canonical signing bytes of an unsigned frame
-	// this codec produced, appending into dst when a new buffer is
-	// needed. The binary codec returns a subslice of the frame itself;
-	// either way the result is valid only until frame or dst is reused.
-	Signing(dst, frame []byte) ([]byte, error)
-
-	// PatchAuth attaches an authentication tag to an unsigned encoded
-	// frame without re-encoding the envelope, returning the (possibly
-	// reallocated) frame. This replaces the historical decode→set-Auth→
-	// re-marshal round trip on the signed send path.
-	PatchAuth(frame, tag []byte) ([]byte, error)
-
-	// Stats reports cumulative encode-side accounting.
-	Stats() CodecStats
-}
 
 // CodecStats is the encode-side accounting a codec accumulates: frames
 // and bytes are exact; EncodeNS is estimated by timing one encode in
@@ -59,7 +15,7 @@ type CodecStats struct {
 	EncodeNS uint64 // estimated wall time spent encoding, in ns
 }
 
-// codecStats implements the shared sampling logic.
+// codecStats implements the sampling logic.
 type codecStats struct {
 	frames   uint64
 	bytes    uint64
@@ -90,60 +46,22 @@ func (s *codecStats) stats() CodecStats {
 }
 
 // DecodeBody decodes the envelope's body into out using the codec that
-// decoded the envelope (JSON for hand-built envelopes, preserving the
-// historical behavior).
+// decoded the envelope. A hand-built envelope has no codec to decode
+// with and errors.
 func (e *Envelope) DecodeBody(out any) error {
-	if e.codec != nil {
-		return e.codec.DecodeBody(e, out)
+	if e.codec == nil {
+		return fmt.Errorf("icewire: %s envelope was not decoded from a frame", e.Type)
 	}
-	return decodeJSONBody(e, out)
-}
-
-// AppendSigning appends the canonical signing byte string — the binary
-// framing of every field except Auth — to dst and returns it. The form
-// is carrier-independent by design: a JSON-carried envelope signs the
-// same framing over its JSON body bytes, so sender and receiver always
-// agree. Bodied messages therefore never verify against the other
-// codec's tags (their body bytes differ), while body-less messages
-// (heartbeat, bye) carry identical canonical bytes in either encoding —
-// re-framing one is exactly a replay of the same signed message, and
-// the per-sender replay window is what governs replays.
-//
-// Envelopes decoded from a binary frame return the frame's own signing
-// window (zero-copy); that result is valid only while the frame buffer
-// is.
-func (e *Envelope) AppendSigning(dst []byte) []byte {
-	if e.signing != nil {
-		return e.signing
-	}
-	return appendSigningFrame(dst, e.Type, e.From, e.To, e.Seq, e.At, e.Body)
+	return e.codec.DecodeBody(e, out)
 }
 
 // SigningBytes returns the canonical byte string an authenticator signs:
-// the envelope with the Auth field excluded, in the binary canonical
-// form. Allocates; hot paths use AppendSigning with a scratch buffer.
-func (e Envelope) SigningBytes() []byte {
-	return e.AppendSigning(nil)
-}
-
-// NewCodec constructs a codec by name: "" or "binary" for the binary
-// codec, "json" for the debug/compat JSON codec.
-func NewCodec(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return NewBinary(), nil
-	case "json":
-		return NewJSON(), nil
-	default:
-		return nil, fmt.Errorf("icewire: unknown codec %q (have binary, json)", name)
+// the binary framing of every field except Auth. An envelope decoded
+// from a frame returns the frame's own signing window (zero-copy),
+// valid only while the frame buffer is; a hand-built one allocates.
+func (e *Envelope) SigningBytes() []byte {
+	if e.signing != nil {
+		return e.signing
 	}
-}
-
-// MustNewCodec is NewCodec for known-good names.
-func MustNewCodec(name string) Codec {
-	c, err := NewCodec(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
+	return appendSigningFrame(nil, e.Type, e.From, e.To, e.Seq, e.At, e.Body)
 }

@@ -3,7 +3,6 @@ package icewire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -24,8 +23,8 @@ func testDescriptor() Descriptor {
 	}
 }
 
-// Every typed body must round-trip bit-exactly through both codecs.
-func TestBodyRoundTripBothCodecs(t *testing.T) {
+// Every typed body must round-trip bit-exactly through the codec.
+func TestBodyRoundTrip(t *testing.T) {
 	bodies := []struct {
 		typ  MsgType
 		in   any
@@ -95,26 +94,25 @@ func TestBodyRoundTripBothCodecs(t *testing.T) {
 			},
 		},
 	}
-	for _, codec := range []Codec{NewBinary(), NewJSON()} {
-		for _, tc := range bodies {
-			frame, err := codec.AppendEnvelope(nil, tc.typ, "dev", "mgr", 9, 55*sim.Second, tc.in)
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", codec.Name(), tc.typ, err)
-			}
-			env, err := codec.Decode(frame)
-			if err != nil {
-				t.Fatalf("%s/%s: decode: %v", codec.Name(), tc.typ, err)
-			}
-			if env.Type != tc.typ || env.From != "dev" || env.To != "mgr" || env.Seq != 9 || env.At != 55*sim.Second {
-				t.Fatalf("%s/%s: header mismatch: %+v", codec.Name(), tc.typ, env)
-			}
-			out := tc.out()
-			if err := env.DecodeBody(out); err != nil {
-				t.Fatalf("%s/%s: decode body: %v", codec.Name(), tc.typ, err)
-			}
-			if !tc.same(tc.in, out) {
-				t.Fatalf("%s/%s: round trip mismatch:\nin  %+v\nout %+v", codec.Name(), tc.typ, tc.in, out)
-			}
+	codec := NewBinary()
+	for _, tc := range bodies {
+		frame, err := codec.AppendEnvelope(nil, tc.typ, "dev", "mgr", 9, 55*sim.Second, tc.in)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.typ, err)
+		}
+		env, err := codec.Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.typ, err)
+		}
+		if env.Type != tc.typ || env.From != "dev" || env.To != "mgr" || env.Seq != 9 || env.At != 55*sim.Second {
+			t.Fatalf("%s: header mismatch: %+v", tc.typ, env)
+		}
+		out := tc.out()
+		if err := env.DecodeBody(out); err != nil {
+			t.Fatalf("%s: decode body: %v", tc.typ, err)
+		}
+		if !tc.same(tc.in, out) {
+			t.Fatalf("%s: round trip mismatch:\nin  %+v\nout %+v", tc.typ, tc.in, out)
 		}
 	}
 }
@@ -122,34 +120,9 @@ func TestBodyRoundTripBothCodecs(t *testing.T) {
 // Body-less messages (heartbeat, bye) round-trip with empty bodies, and
 // decoding a body out of them errors rather than fabricating one.
 func TestEmptyBodyMessages(t *testing.T) {
-	for _, codec := range []Codec{NewBinary(), NewJSON()} {
-		for _, typ := range []MsgType{MsgHeartbeat, MsgBye} {
-			frame, err := codec.AppendEnvelope(nil, typ, "dev", "mgr", 3, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env, err := codec.Decode(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(env.Body) != 0 {
-				t.Fatalf("%s/%s: unexpected body %q", codec.Name(), typ, env.Body)
-			}
-			var d Datum
-			if err := env.DecodeBody(&d); err == nil || !strings.Contains(err.Error(), "empty body") {
-				t.Fatalf("%s/%s: empty body decode err = %v", codec.Name(), typ, err)
-			}
-		}
-	}
-}
-
-// The two codecs must expose identical values for the same message even
-// though their wire bytes are different.
-func TestCodecsAgreeOnValues(t *testing.T) {
-	in := Datum{Topic: "ox1/spo2", Value: 97.1234567890123, Valid: true, Quality: 0.5, Sampled: 7 * sim.Minute}
-	var out [2]Datum
-	for i, codec := range []Codec{NewBinary(), NewJSON()} {
-		frame, err := codec.AppendEnvelope(nil, MsgPublish, "ox1", "mgr", 1, sim.Second, &in)
+	codec := NewBinary()
+	for _, typ := range []MsgType{MsgHeartbeat, MsgBye} {
+		frame, err := codec.AppendEnvelope(nil, typ, "dev", "mgr", 3, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,51 +130,13 @@ func TestCodecsAgreeOnValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := env.DecodeBody(&out[i]); err != nil {
-			t.Fatal(err)
+		if len(env.Body) != 0 {
+			t.Fatalf("%s: unexpected body %q", typ, env.Body)
 		}
-	}
-	if out[0] != out[1] {
-		t.Fatalf("codecs disagree: binary %+v vs json %+v", out[0], out[1])
-	}
-}
-
-// PatchAuth on the JSON codec must produce exactly the bytes a full
-// re-marshal with Auth set would — the historical wire format.
-func TestJSONPatchAuthMatchesRemarshal(t *testing.T) {
-	c := NewJSON()
-	frame, err := c.AppendEnvelope(nil, MsgPublish, "dev", "mgr", 4, 9*sim.Second, &Datum{Topic: "dev/spo2", Value: 95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x41}
-	patched, err := c.PatchAuth(append([]byte(nil), frame...), tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := DecodeJSON(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Auth = tag
-	want, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(patched, want) {
-		t.Fatalf("patched frame differs from re-marshal:\n%s\nvs\n%s", patched, want)
-	}
-	// And the patched frame decodes with the tag attached.
-	env2, err := c.Decode(patched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(env2.Auth, tag) {
-		t.Fatalf("Auth = %x, want %x", env2.Auth, tag)
-	}
-	// Double-patching is rejected, like the binary codec.
-	if _, err := c.PatchAuth(patched, tag); err == nil {
-		t.Fatal("patching an already-authenticated JSON frame succeeded")
+		var d Datum
+		if err := env.DecodeBody(&d); err == nil || !strings.Contains(err.Error(), "empty body") {
+			t.Fatalf("%s: empty body decode err = %v", typ, err)
+		}
 	}
 }
 
@@ -214,7 +149,7 @@ func TestBinarySigningAndPatchAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := c.Signing(nil, frame)
+	sig, err := c.Signing(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +168,7 @@ func TestBinarySigningAndPatchAuth(t *testing.T) {
 	if !bytes.Equal(env.Auth, tag) {
 		t.Fatalf("Auth = %x, want %x", env.Auth, tag)
 	}
-	if got := env.AppendSigning(nil); !bytes.Equal(got, sig) {
+	if got := env.SigningBytes(); !bytes.Equal(got, sig) {
 		t.Fatal("receiver's signing window differs from what the sender signed")
 	}
 	// Double-patching is rejected.
@@ -251,74 +186,9 @@ func TestBinarySigningAndPatchAuth(t *testing.T) {
 	}
 }
 
-// A JSON-signed envelope and a binary-signed envelope carry different
-// canonical signing bytes for the same logical message (their body bytes
-// differ), so a tag computed under one codec can never verify under the
-// other — the no-cross-codec-confusion property.
-func TestNoCrossCodecSigningConfusion(t *testing.T) {
-	datum := &Datum{Topic: "ox1/spo2", Value: 97, Valid: true, Quality: 1, Sampled: sim.Second}
-	bin, jsn := NewBinary(), NewJSON()
-
-	bframe, err := bin.AppendEnvelope(nil, MsgPublish, "ox1", "mgr", 8, 2*sim.Second, datum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jframe, err := jsn.AppendEnvelope(nil, MsgPublish, "ox1", "mgr", 8, 2*sim.Second, datum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsig, err := bin.Signing(nil, bframe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsig, err := jsn.Signing(nil, jframe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(bsig, jsig) {
-		t.Fatal("binary and JSON signing bytes collide; cross-codec tag replay possible")
-	}
-	// Both windows share the canonical framing prefix (same header
-	// fields), so the divergence is exactly the body encoding.
-	benv, err := bin.Decode(bframe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jenv, err := jsn.Decode(jframe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(benv.Body, jenv.Body) {
-		t.Fatal("body encodings identical across codecs?")
-	}
-
-	// Body-less messages are the deliberate exception: signing is
-	// carrier-independent, so a heartbeat's canonical bytes are the
-	// same under either codec — re-framing a signed heartbeat is a
-	// replay of the same message, which the replay window governs.
-	bhb, err := bin.AppendEnvelope(nil, MsgHeartbeat, "ox1", "mgr", 9, 3*sim.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jhb, err := jsn.AppendEnvelope(nil, MsgHeartbeat, "ox1", "mgr", 9, 3*sim.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bhsig, err := bin.Signing(nil, bhb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jhsig, err := jsn.Signing(nil, jhb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bhsig, jhsig) {
-		t.Fatal("body-less signing bytes diverged across carriers; senders and receivers could disagree")
-	}
-}
-
 // Hand-built envelopes (no codec) still produce canonical signing bytes,
-// including message types outside the protocol enum.
+// including message types outside the protocol enum, but have no codec
+// to decode their body with.
 func TestSigningBytesHandBuilt(t *testing.T) {
 	e := Envelope{Type: MsgPublish, From: "a", To: "b", Seq: 1, At: 2, Body: []byte(`{"x":1}`)}
 	s1 := e.SigningBytes()
@@ -334,6 +204,10 @@ func TestSigningBytesHandBuilt(t *testing.T) {
 	known := Envelope{Type: MsgBye, From: "a", To: "b", Seq: 1}
 	if bytes.Equal(exotic.SigningBytes(), known.SigningBytes()) {
 		t.Fatal("exotic and known types share signing bytes")
+	}
+	var d Datum
+	if err := e.DecodeBody(&d); err == nil || !strings.Contains(err.Error(), "not decoded from a frame") {
+		t.Fatalf("hand-built DecodeBody err = %v", err)
 	}
 }
 
@@ -466,8 +340,7 @@ func TestBinaryEncodeRejects(t *testing.T) {
 	}
 }
 
-// NaN and infinities round-trip bit-exactly through the binary codec
-// (JSON cannot carry them; binary has no such restriction).
+// NaN and infinities round-trip bit-exactly through the codec.
 func TestBinaryNonFiniteFloats(t *testing.T) {
 	c := NewBinary()
 	in := &Datum{Topic: "a/b", Value: math.NaN(), Quality: math.Inf(1)}
@@ -539,60 +412,20 @@ func TestCommandArgsNonCanonicalRejected(t *testing.T) {
 	}
 }
 
-// Codec construction by name.
-func TestNewCodec(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "json": "json"} {
-		c, err := NewCodec(name)
-		if err != nil || c.Name() != want {
-			t.Fatalf("NewCodec(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := NewCodec("xml"); err == nil {
-		t.Fatal("NewCodec(xml) succeeded")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewCodec(xml) did not panic")
-		}
-	}()
-	MustNewCodec("xml")
-}
-
 // Stats count frames and bytes on the encode side.
 func TestCodecStats(t *testing.T) {
-	for _, c := range []Codec{NewBinary(), NewJSON()} {
-		var total int
-		for i := 0; i < 10; i++ {
-			frame, err := c.AppendEnvelope(nil, MsgHeartbeat, "d", "m", uint64(i), 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += len(frame)
+	c := NewBinary()
+	var total int
+	for i := 0; i < 10; i++ {
+		frame, err := c.AppendEnvelope(nil, MsgHeartbeat, "d", "m", uint64(i), 0, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		st := c.Stats()
-		if st.Frames != 10 || st.Bytes != uint64(total) {
-			t.Fatalf("%s stats = %+v, want 10 frames / %d bytes", c.Name(), st, total)
-		}
+		total += len(frame)
 	}
-}
-
-// The JSON codec rejects malformed and incomplete envelopes as before.
-func TestJSONDecodeRejects(t *testing.T) {
-	c := NewJSON()
-	for name, data := range map[string][]byte{
-		"garbage":      []byte("{"),
-		"missing type": []byte(`{"from":"a"}`),
-		"missing from": []byte(`{"type":"publish"}`),
-	} {
-		if _, err := c.Decode(data); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	if _, err := c.PatchAuth([]byte("not json"), []byte{1}); err == nil {
-		t.Error("PatchAuth on malformed frame succeeded")
-	}
-	if _, err := c.Signing(nil, []byte("not json")); err == nil {
-		t.Error("Signing on malformed frame succeeded")
+	st := c.Stats()
+	if st.Frames != 10 || st.Bytes != uint64(total) {
+		t.Fatalf("stats = %+v, want 10 frames / %d bytes", st, total)
 	}
 }
 

@@ -1,9 +1,6 @@
 package icewire
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // Every strict prefix of every golden frame must be rejected: the frame
 // grammar is length-prefixed throughout, so no truncation can parse.
@@ -122,18 +119,5 @@ func TestDescriptorHas(t *testing.T) {
 	}
 	if d.Has("rate", ClassActuator) || d.Has("nope", ClassSensor) {
 		t.Fatal("phantom capability found")
-	}
-}
-
-// JSON body decode errors surface with the message type in the text.
-func TestJSONBodyDecodeError(t *testing.T) {
-	c := NewJSON()
-	env := Envelope{Type: MsgPublish, Body: []byte(`{"value":`)}
-	var d Datum
-	if err := c.DecodeBody(&env, &d); err == nil || !strings.Contains(err.Error(), "publish") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := EncodeJSON(MsgPublish, "a", "b", 1, 0, func() {}); err == nil {
-		t.Fatal("unmarshalable body encoded")
 	}
 }

@@ -1,26 +1,21 @@
 // Package icewire defines the ICE wire protocol: the message types every
-// subsystem exchanges over mednet, and the codecs that put them on the
-// wire. Two codecs implement the same protocol:
-//
-//   - Binary (the default): a length-prefixed binary frame format with
-//     varint integers and typed body encoders. It exists because the
-//     envelope codec dominated per-cell cost once the kernel and delivery
-//     paths went allocation-free — short, fixed-shape messages sent
-//     millions of times per run are exactly where a compact, carefully
-//     specified encoding pays off. Steady-state encode and decode are
-//     0 allocs/op (see binary.go for the frame layout).
-//   - JSON: the debug/compat codec, byte-compatible with the historical
-//     encoding/json wire format. Selectable per Manager/DeviceConn for
-//     wire-level debugging and differential testing.
+// subsystem exchanges over mednet, and Binary, the one codec that puts
+// them on the wire — a length-prefixed binary frame format with varint
+// integers and typed body encoders (see binary.go for the frame
+// layout). It exists because the envelope codec dominated per-cell cost
+// once the kernel and delivery paths went allocation-free: short,
+// fixed-shape messages sent millions of times per run are exactly where
+// a compact, carefully specified encoding pays off. Steady-state encode
+// and decode are 0 allocs/op. Every message has one canonical frame and
+// one signing form, so captured traffic can be checked after the fact.
 //
 // The type definitions live here (rather than internal/core) so the
-// codecs, core, and the fuzz/differential harnesses share one source of
-// truth without an import cycle; internal/core aliases everything, so
+// codec, core, and the fuzz harnesses share one source of truth
+// without an import cycle; internal/core aliases everything, so
 // the rest of the tree keeps saying core.Datum.
 package icewire
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -42,28 +37,26 @@ const (
 )
 
 // Envelope is the wire representation of every ICE message. Body holds
-// the codec-encoded body bytes (JSON for the JSON codec, the typed binary
-// encoding for the binary codec); DecodeBody dispatches on the codec that
-// decoded the envelope. Auth carries the optional HMAC tag added by
+// the typed binary body encoding; DecodeBody decodes it with the codec
+// that decoded the envelope. Auth carries the optional HMAC tag added by
 // internal/security; it covers every field except itself (see
-// AppendSigning for the canonical byte string).
+// SigningBytes for the canonical byte string).
 type Envelope struct {
-	Type MsgType         `json:"type"`
-	From string          `json:"from"`
-	To   string          `json:"to"`
-	Seq  uint64          `json:"seq"`
-	At   sim.Time        `json:"at"`
-	Body json.RawMessage `json:"body,omitempty"`
-	Auth []byte          `json:"auth,omitempty"`
+	Type MsgType
+	From string
+	To   string
+	Seq  uint64
+	At   sim.Time
+	Body []byte
+	Auth []byte
 
-	// codec is the codec that produced this envelope via Decode; nil
-	// means JSON (the historical default, kept so hand-built envelopes
-	// and the package-level Decode keep working).
-	codec Codec
+	// codec is the codec that produced this envelope via Decode; nil on
+	// hand-built envelopes.
+	codec *Binary
 	// signing, when non-nil, is the canonical signing window of the
 	// frame this envelope was decoded from — a subslice of the original
-	// frame, valid only as long as the frame's buffer is. The binary
-	// codec sets it so steady-state verification is zero-copy.
+	// frame, valid only as long as the frame's buffer is. Decode always
+	// sets it, so verification is zero-copy.
 	signing []byte
 }
 

@@ -222,7 +222,7 @@ func signedBinaryPublish(t *testing.T, auth *HMACAuth, to string, seq uint64, at
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := wire.Signing(nil, frame)
+	sig, err := wire.Signing(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,9 @@ func signedBinaryPublish(t *testing.T, auth *HMACAuth, to string, seq uint64, at
 }
 
 // Binary-frame regression battery: a correctly signed frame passes HMAC
-// verification; tampered payloads, tampered tags, truncated frames and
-// replayed frames are all rejected, each on the right counter.
+// verification; tampered payloads, tampered tags, truncated frames,
+// replayed frames and tags over the wrong byte string are all rejected,
+// each on the right counter.
 func TestBinaryFrameTamperTruncateReplay(t *testing.T) {
 	k := sim.NewKernel()
 	net := mednet.MustNew(k, sim.NewRNG(1), mednet.DefaultLink())
@@ -315,80 +316,28 @@ func TestBinaryFrameTamperTruncateReplay(t *testing.T) {
 	if received != 1 {
 		t.Fatalf("truncated frame delivered (received=%d)", received)
 	}
-}
 
-// A tag computed over the legacy JSON signing bytes must not verify
-// against the canonical (binary) signing form — no cross-codec
-// confusion: switching codecs invalidates old tags instead of silently
-// accepting them.
-func TestJSONSignedTagRejectedByCanonicalSigner(t *testing.T) {
-	k := sim.NewKernel()
-	net := mednet.MustNew(k, sim.NewRNG(1), mednet.DefaultLink())
-	ks := NewKeyStore()
-	rng := sim.NewRNG(9)
-	ks.Issue("ice-manager", rng)
-	ks.Issue("ox1", rng)
-	auth := NewHMACAuth(ks)
-
-	cfg := core.DefaultManagerConfig()
-	cfg.Auth = auth
-	cfg.Codec = core.NewJSONCodec() // debug codec on the wire
-	mgr := core.MustNewManager(k, net, cfg)
-	received := 0
-	mgr.Subscribe("*/*", func(string, core.Datum) { received++ })
-	core.MustConnect(k, net, core.Descriptor{
-		ID: "ox1", Kind: core.KindPulseOximeter,
-		Capabilities: []core.Capability{{Name: "spo2", Class: core.ClassSensor, Criticality: 3}},
-	}, core.ConnectConfig{Auth: auth, Codec: core.NewJSONCodec()})
-	if err := k.Run(300 * sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-
-	wire := core.NewJSONCodec()
-	unsigned, err := wire.AppendEnvelope(nil, core.MsgPublish, "ox1", mgr.Addr(), 7000, k.Now(), &core.Datum{
-		Topic: "ox1/spo2", Value: 50, Valid: true,
+	// 6. A tag computed over the whole unsigned frame, rather than its
+	// signing window (which stops before the auth field), fails
+	// verification: only the canonical signing form is accepted.
+	wire := core.NewBinaryCodec()
+	unsigned, err := wire.AppendEnvelope(nil, core.MsgPublish, "ox1", mgr.Addr(), 5004, k.Now(), &core.Datum{
+		Topic: "ox1/spo2", Value: 50, Valid: true, Quality: 1, Sampled: k.Now(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Legacy-style tag: HMAC over the raw JSON frame bytes themselves
-	// (the pre-canonical scheme). Must be rejected.
-	legacyTag, err := auth.Sign("ox1", unsigned)
+	wholeTag, err := auth.Sign("ox1", unsigned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := wire.PatchAuth(append([]byte(nil), unsigned...), legacyTag)
+	whole, err := wire.PatchAuth(unsigned, wholeTag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Send("x", mgr.Addr(), "publish", legacy)
-	if err := k.Run(k.Now() + 50*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if received != 0 || mgr.AuthRejected != 1 {
-		t.Fatalf("legacy JSON-signed tag accepted (received=%d, auth=%d)", received, mgr.AuthRejected)
-	}
-
-	// Canonically signed JSON frame: accepted — the codec is debuggable,
-	// the signing form is shared.
-	sig, err := wire.Signing(nil, unsigned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodTag, err := auth.Sign("ox1", sig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := wire.PatchAuth(unsigned, goodTag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Send("x", mgr.Addr(), "publish", good)
-	if err := k.Run(k.Now() + 50*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if received != 1 {
-		t.Fatalf("canonically signed JSON frame rejected (received=%d, auth=%d)", received, mgr.AuthRejected)
+	authBefore := mgr.AuthRejected
+	deliver(whole)
+	if received != 1 || mgr.AuthRejected != authBefore+1 {
+		t.Fatalf("whole-frame tag not rejected (received=%d, auth=%d, want %d)", received, mgr.AuthRejected, authBefore+1)
 	}
 }
