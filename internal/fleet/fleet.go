@@ -230,12 +230,6 @@ type Runner struct {
 
 	// Obs, when non-nil, feeds the fleet's latency histograms.
 	Obs *Obs
-
-	// ProfileRegions opts this run's cell hot loop into runtime/trace
-	// regions (visible in `go tool trace`). Off by default so kernel
-	// loops stay untraced; even on, it is a no-op unless the Go
-	// execution tracer is actually collecting.
-	ProfileRegions bool
 }
 
 // stamp reads the clock only when queue-wait observation is on.
@@ -445,7 +439,6 @@ func (r Runner) RunRangeContext(ctx context.Context, spec Spec, start, end int, 
 func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
 	seed := s.seedFor(i)
 	res.Cell = Cell{Index: i, Seed: seed}
-	defer icescope.Region(r.ProfileRegions, "fleet.cell")()
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("cell panicked: %v", p)

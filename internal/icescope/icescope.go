@@ -23,35 +23,14 @@
 //     structs, with one Prometheus-exposition writer emitting HELP and
 //     TYPE lines; Lint validates any exposition text.
 //
-//   - Region and DebugMux: a runtime/trace region wrapper that stays a
-//     no-op unless a job opts in AND the Go execution tracer is running,
-//     and an http mux bundling net/http/pprof with a registry's
+//   - DebugMux: an http mux bundling net/http/pprof with a registry's
 //     /metrics for the daemons' -pprof flag.
 package icescope
 
 import (
-	"context"
 	"net/http"
 	"net/http/pprof"
-	rtrace "runtime/trace"
 )
-
-// regionNoop is the shared do-nothing closer, so a disabled Region call
-// costs two branches and zero allocations.
-var regionNoop = func() {}
-
-// Region opens a runtime/trace region and returns its closer. It is a
-// no-op unless both the caller opted in (enabled — a per-job choice) and
-// the Go execution tracer is actually collecting (the -pprof
-// /debug/pprof/trace endpoint or `go test -trace`): kernel hot loops
-// stay untraced by default, but a profiling session of an opted-in job
-// sees each cell as a named region on its worker goroutine.
-func Region(enabled bool, name string) func() {
-	if !enabled || !rtrace.IsEnabled() {
-		return regionNoop
-	}
-	return rtrace.StartRegion(context.Background(), name).End
-}
 
 // DebugMux serves the standard net/http/pprof endpoints (profile, heap,
 // goroutine, trace, ...) plus, when reg is non-nil, the registry's

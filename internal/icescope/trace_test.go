@@ -199,12 +199,3 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("coverage out of range: %v", cov)
 	}
 }
-
-func TestRegionNoopWhenDisabled(t *testing.T) {
-	// Tracer not running: both calls must return the shared no-op.
-	end := Region(true, "x")
-	end()
-	if n := testing.AllocsPerRun(100, func() { Region(false, "cell")() }); n != 0 {
-		t.Fatalf("disabled Region allocates %.1f per op", n)
-	}
-}

@@ -45,6 +45,7 @@ type Estimator struct {
 	samples []PlethSample
 	perWin  int
 	ac      []float64 // zero-mean IR scratch, reused across windows
+	scores  []float64 // lag-indexed autocorrelation sums, reused across windows
 }
 
 // NewEstimator returns an estimator sized for the given parameters.
@@ -52,11 +53,20 @@ func NewEstimator(p EstimatorParams) *Estimator {
 	if p.SampleRate <= 0 || p.Window <= 0 {
 		panic("sigproc: estimator needs positive rate and window")
 	}
+	if !(p.MinHeartRate > 0 && p.MaxHeartRate > p.MinHeartRate) {
+		panic("sigproc: estimator needs 0 < MinHeartRate < MaxHeartRate")
+	}
 	perWin := int(p.Window.Seconds() * p.SampleRate)
 	if perWin < 8 {
 		panic("sigproc: window too short for analysis")
 	}
-	return &Estimator{p: p, samples: make([]PlethSample, 0, perWin), perWin: perWin, ac: make([]float64, perWin)}
+	return &Estimator{
+		p:       p,
+		samples: make([]PlethSample, 0, perWin),
+		perWin:  perWin,
+		ac:      make([]float64, perWin),
+		scores:  make([]float64, perWin),
+	}
 }
 
 // Reset drops any partially accumulated window so a prototype clone
@@ -113,6 +123,9 @@ func (e *Estimator) analyze() Estimate {
 		rmsR += ar * ar
 		rmsI += ai * ai
 	}
+	// The IR sum of squares is also the autocorrelation at lag 0: the
+	// same products in the same order as a separate pass over acI.
+	r0 := rmsI
 	rmsR = math.Sqrt(rmsR / float64(n))
 	rmsI = math.Sqrt(rmsI / float64(n))
 	if rmsI == 0 {
@@ -123,7 +136,7 @@ func (e *Estimator) analyze() Estimate {
 	spo2 := SpO2ForRatio(ratio)
 
 	// Heart rate by autocorrelation peak of the IR AC component.
-	hr, periodicity := autocorrHR(acI, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
+	hr, periodicity := autocorrHR(acI, e.scores, r0, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
 
 	quality := periodicity
 	valid := quality >= e.p.MinQuality && hr >= e.p.MinHeartRate && hr <= e.p.MaxHeartRate &&
@@ -134,16 +147,10 @@ func (e *Estimator) analyze() Estimate {
 // autocorrHR finds the dominant periodicity in x and converts it to
 // beats/min. The returned periodicity in [0,1] is the normalized
 // autocorrelation at the detected lag — a natural signal-quality index
-// that collapses under uncorrelated artifact noise.
-func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64) {
+// that collapses under uncorrelated artifact noise. r0 is x's sum of
+// squares, positive; scores is scratch of at least len(x).
+func autocorrHR(x, scores []float64, r0, fs, minHR, maxHR float64) (hr, periodicity float64) {
 	n := len(x)
-	var r0 float64
-	for _, v := range x {
-		r0 += v * v
-	}
-	if r0 == 0 {
-		return 0, 0
-	}
 	minLag := int(fs * 60 / maxHR)
 	maxLag := int(fs * 60 / minHR)
 	if maxLag >= n {
@@ -152,9 +159,10 @@ func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64)
 	if minLag < 1 {
 		minLag = 1
 	}
+	lagScores(x, scores, minLag, maxLag)
 	bestLag, bestR := 0, 0.0
 	for lag := minLag; lag <= maxLag; lag++ {
-		r := lagCorr(x, lag) / r0
+		r := scores[lag] / r0
 		if r > bestR {
 			bestR = r
 			bestLag = lag
@@ -166,7 +174,7 @@ func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64)
 	// Refine: if lag/2 also scores nearly as high, the true period is the
 	// half (we latched onto a subharmonic).
 	if half := bestLag / 2; half >= minLag {
-		if r := lagCorr(x, half) / r0; r > 0.85*bestR {
+		if r := scores[half] / r0; r > 0.85*bestR {
 			bestLag = half
 			bestR = r
 		}
@@ -174,11 +182,53 @@ func autocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float64)
 	return 60 * fs / float64(bestLag), clamp01(bestR)
 }
 
-// lagCorr is the raw autocorrelation sum at one lag. Slicing the tail
-// lets the compiler drop both bounds checks from the inner loop — this
-// is the hottest loop in the whole engine (42% of cell CPU) — while the
-// products and their accumulation order stay exactly those of the
-// textbook x[i]*x[i-lag] formulation.
+// lagScores sets scores[lag] = lagCorr(x, lag) for every lag in
+// [minLag, maxLag], bit for bit. It scores four consecutive lags per pass
+// over x, each in its own accumulator: the four add chains are
+// independent, so they overlap instead of each waiting out the FP-add
+// latency of a single chain. Every accumulator still adds exactly
+// lagCorr's products in lagCorr's order — the common prefix first, then
+// its own remaining terms in increasing i — so no sum is reassociated.
+func lagScores(x, scores []float64, minLag, maxLag int) {
+	n := len(x)
+	lag := minLag
+	for ; lag+3 <= maxLag; lag += 4 {
+		// Lag lag+k has n-lag-k terms; the first m are common to all four.
+		m := n - lag - 3
+		head := x[:m]
+		t0 := x[lag:][:m]
+		t1 := x[lag+1:][:m]
+		t2 := x[lag+2:][:m]
+		t3 := x[lag+3:][:m]
+		var r0, r1, r2, r3 float64
+		for i, v := range head {
+			r0 += t0[i] * v
+			r1 += t1[i] * v
+			r2 += t2[i] * v
+			r3 += t3[i] * v
+		}
+		// Lag lag+k has 3-k terms left, at i = m, m+1, ...
+		for i := m; i < m+3; i++ {
+			r0 += x[lag+i] * x[i]
+		}
+		for i := m; i < m+2; i++ {
+			r1 += x[lag+1+i] * x[i]
+		}
+		r2 += x[lag+2+m] * x[m]
+		scores[lag], scores[lag+1], scores[lag+2], scores[lag+3] = r0, r1, r2, r3
+	}
+	for ; lag <= maxLag; lag++ {
+		scores[lag] = lagCorr(x, lag)
+	}
+}
+
+// lagCorr is the raw autocorrelation sum at one lag: the products
+// x[lag+i]*x[i] added to a zero start in increasing i, the order every
+// scan must keep for its scores to stay bit-identical (Go never
+// reassociates floating-point adds). Slicing the tail drops both bounds
+// checks from the loop. Each add keeps the r += a*b shape, which arm64
+// fuses into one multiply-add; lagScores' accumulators keep it too, so
+// both fuse alike there.
 func lagCorr(x []float64, lag int) float64 {
 	var r float64
 	tail := x[lag:]
