@@ -25,6 +25,7 @@ type Oximeter struct {
 	patient *physio.Patient
 	synth   *sigproc.Synth
 	est     *sigproc.Estimator
+	win     []sigproc.PlethSample // one analysis window, reused
 	tick    *sim.Ticker
 
 	// Counters for experiments.
@@ -61,6 +62,7 @@ func NewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *physio.
 		synth:   sigproc.NewSynth(sigproc.DefaultSynth(), rng),
 		est:     sigproc.NewEstimator(sigproc.DefaultEstimator()),
 	}
+	o.win = make([]sigproc.PlethSample, o.est.WindowSamples())
 	window := o.est.ProcessingDelay()
 	o.tick = k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
 	return o, nil
@@ -118,16 +120,14 @@ func (o *Oximeter) processWindow(now sim.Time, window sim.Time) {
 	v := o.patient.Vitals()
 	dt := o.synth.SampleInterval()
 	start := now - window
-	for i := 0; i < o.est.WindowSamples(); i++ {
-		ts := start + sim.Time(i)*dt
-		s := o.synth.Next(ts, dt, v.HeartRate, v.SpO2)
-		if e, ok := o.est.Push(s); ok {
-			o.Estimates++
-			if !e.Valid {
-				o.InvalidEstimates++
-			}
-			o.conn.Publish("spo2", e.SpO2, e.Valid, e.Quality, start)
-			o.conn.Publish("heart-rate", e.HeartRate, e.Valid, e.Quality, start)
-		}
+	for i := range o.win {
+		o.win[i] = o.synth.Next(start+sim.Time(i)*dt, dt, v.HeartRate, v.SpO2)
 	}
+	e := o.est.Analyze(o.win)
+	o.Estimates++
+	if !e.Valid {
+		o.InvalidEstimates++
+	}
+	o.conn.Publish("spo2", e.SpO2, e.Valid, e.Quality, start)
+	o.conn.Publish("heart-rate", e.HeartRate, e.Valid, e.Quality, start)
 }

@@ -412,22 +412,6 @@ dispatch:
 	return out, errors.Join(errs...)
 }
 
-// RunRangeContext executes the contiguous cell range [start, end) of one
-// spec on the local pool — the node-side primitive distributed engines
-// are built from. Results carry their global ensemble index and seed,
-// exactly as the same cells would in a full local run, so merging range
-// results by index reproduces the local result slice byte for byte.
-// onCell, when non-nil, is invoked serially as cells complete; results
-// are returned in range order (position i holds cell start+i).
-func (r Runner) RunRangeContext(ctx context.Context, spec Spec, start, end int, onCell func(Result)) ([]Result, error) {
-	sess, err := r.NewSession(spec)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	return sess.RunRange(ctx, start, end, onCell)
-}
-
 // runCell executes one cell, converting a panic in the model (the sim
 // kernel panics on causality violations) into a per-cell error so one bad
 // room cannot take down the fleet. The scratch pointer is stripped from

@@ -9,10 +9,8 @@ import (
 	"repro/internal/icescope"
 )
 
-// Session pins one built spec to a persistent worker pool. Where
-// Runner.RunRangeContext spins up fresh workers — and therefore fresh
-// Scratches and prototype rigs — per call, a Session keeps the pool
-// alive across calls: each worker goroutine owns one Scratch for the
+// Session pins one built spec to a persistent worker pool, alive across
+// RunRange calls: each worker goroutine owns one Scratch for the
 // session's lifetime, so the spec's prototype is constructed once per
 // worker and every later range stamps cells by Clone. That is the seam
 // a distributed node needs for fine-grained shards: at shard size 1 the
@@ -79,11 +77,14 @@ func (s *Session) Idle() bool {
 	return s.active == 0
 }
 
-// RunRange executes cells [start, end) of the session's spec, exactly as
-// Runner.RunRangeContext would: results carry their global ensemble index
-// and seed, onCell (when non-nil) is invoked serially per completed cell,
-// cells not yet dispatched when ctx is cancelled are skipped with
-// ctx.Err(), and the returned slice is in range order.
+// RunRange executes the contiguous cell range [start, end) of the
+// session's spec — the node-side primitive distributed engines are built
+// from. Results carry their global ensemble index and seed, exactly as
+// the same cells would in a full local run, so merging range results by
+// index reproduces the local result slice byte for byte. onCell (when
+// non-nil) is invoked serially per completed cell, cells not yet
+// dispatched when ctx is cancelled are skipped with ctx.Err(), and the
+// returned slice is in range order.
 func (s *Session) RunRange(ctx context.Context, start, end int, onCell func(Result)) ([]Result, error) {
 	if start < 0 || end < start || end > s.spec.Cells {
 		return nil, fmt.Errorf("fleet: range [%d,%d) outside spec %q (%d cells)", start, end, s.spec.Name, s.spec.Cells)

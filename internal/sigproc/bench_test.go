@@ -6,26 +6,49 @@ import (
 	"repro/internal/sim"
 )
 
-// synthWindow returns one analysis window of a clean 72-bpm, 97% pleth.
-func synthWindow(n int) []PlethSample {
+// synthWindow returns one analysis window of a 97% pleth at bpm from a
+// fresh synthesizer, corrupted by inject when it is non-nil.
+func synthWindow(n int, bpm float64, inject func(*Synth)) []PlethSample {
 	synth := NewSynth(DefaultSynth(), sim.NewRNG(1))
+	if inject != nil {
+		inject(synth)
+	}
 	dt := synth.SampleInterval()
 	win := make([]PlethSample, n)
 	for i := range win {
-		win[i] = synth.Next(sim.Time(i+1)*dt, dt, 72, 97)
+		win[i] = synth.Next(sim.Time(i+1)*dt, dt, bpm, 97)
 	}
 	return win
 }
 
+type namedWindow struct {
+	name string
+	win  []PlethSample
+}
+
+// windowMix is one window of each kind a cell's oximeter analyzes: clean
+// pulses at both ends of the clinical range and between, motion artifact,
+// which keeps the lag scan running to maxLag, and a probe dropout, which
+// ends the analysis before the scan.
+func windowMix(n int) []namedWindow {
+	return []namedWindow{
+		{"clean40", synthWindow(n, 40, nil)},
+		{"clean72", synthWindow(n, 72, nil)},
+		{"clean150", synthWindow(n, 150, nil)},
+		{"motion", synthWindow(n, 72, func(s *Synth) { s.InjectMotion(0, sim.Minute, 6) })},
+		{"dropout", synthWindow(n, 72, func(s *Synth) { s.InjectDropout(0, sim.Minute) })},
+	}
+}
+
 // A full window of Push calls, the analysis included, must not allocate:
-// the sample buffer, the AC series and the lag scores are all scratch
-// sized at construction.
+// the sample buffer, the AC series and the lag scan's scores and sums of
+// squares are all scratch sized at construction.
 func TestAllocsEstimatorWindow(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("allocation gates are meaningless under -race")
 	}
 	est := NewEstimator(DefaultEstimator())
-	win := synthWindow(est.WindowSamples())
+	win := synthWindow(est.WindowSamples(), 72, nil)
 	analyzed := 0
 	if got := testing.AllocsPerRun(100, func() {
 		for _, s := range win {
@@ -41,11 +64,13 @@ func TestAllocsEstimatorWindow(t *testing.T) {
 	}
 }
 
-// BenchmarkEstimatorWindow measures one analysis window through the public
-// API: WindowSamples Push calls, the last of which runs the analysis.
+// BenchmarkEstimatorWindow measures one clean 72-bpm analysis window
+// through Push: WindowSamples calls, the last of which runs the analysis.
+// That window is the scan's early exit at its best; BenchmarkEstimatorMix
+// covers the rest.
 func BenchmarkEstimatorWindow(b *testing.B) {
 	est := NewEstimator(DefaultEstimator())
-	win := synthWindow(est.WindowSamples())
+	win := synthWindow(est.WindowSamples(), 72, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,6 +79,21 @@ func BenchmarkEstimatorWindow(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/window")
+}
+
+// BenchmarkEstimatorMix measures Analyze, the oximeter's call, on each
+// window of windowMix.
+func BenchmarkEstimatorMix(b *testing.B) {
+	est := NewEstimator(DefaultEstimator())
+	for _, w := range windowMix(est.WindowSamples()) {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchEstimate = est.Analyze(w.win)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/window")
+		})
+	}
 }
 
 // BenchmarkSynthWindow measures synthesizing one analysis window of
@@ -74,4 +114,7 @@ func BenchmarkSynthWindow(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/window")
 }
 
-var benchSample PlethSample
+var (
+	benchSample   PlethSample
+	benchEstimate Estimate
+)

@@ -44,8 +44,8 @@ type Estimator struct {
 	p       EstimatorParams
 	samples []PlethSample
 	perWin  int
-	ac      []float64 // zero-mean IR scratch, reused across windows
-	scores  []float64 // lag-indexed autocorrelation sums, reused across windows
+	ac      []float64  // zero-mean IR scratch, reused across windows
+	scan    lagScratch // heart-rate scan scratch, reused across windows
 }
 
 // NewEstimator returns an estimator sized for the given parameters.
@@ -65,7 +65,7 @@ func NewEstimator(p EstimatorParams) *Estimator {
 		samples: make([]PlethSample, 0, perWin),
 		perWin:  perWin,
 		ac:      make([]float64, perWin),
-		scores:  make([]float64, perWin),
+		scan:    newLagScratch(perWin),
 	}
 }
 
@@ -80,27 +80,32 @@ func (e *Estimator) WindowSamples() int { return e.perWin }
 // window must elapse before the first estimate describing its contents.
 func (e *Estimator) ProcessingDelay() sim.Time { return e.p.Window }
 
-// Push adds one sample. When a full window has accumulated it is analyzed,
-// the buffer resets, and the estimate is returned with ok=true.
+// Push adds one sample. When a full window has accumulated it is analyzed
+// by Analyze, the buffer resets, and the estimate is returned with ok=true.
 func (e *Estimator) Push(s PlethSample) (Estimate, bool) {
 	e.samples = append(e.samples, s)
 	if len(e.samples) < e.perWin {
 		return Estimate{}, false
 	}
-	est := e.analyze()
+	est := e.Analyze(e.samples)
 	e.samples = e.samples[:0]
 	return est, true
 }
 
-// analyze runs ratio-of-ratios SpO2 estimation and autocorrelation-based
-// heart-rate detection over the buffered window.
-func (e *Estimator) analyze() Estimate {
-	n := len(e.samples)
-	endT := e.samples[n-1].T
+// Analyze runs ratio-of-ratios SpO2 estimation and autocorrelation-based
+// heart-rate detection over one full window, the analysis Push runs when
+// its buffer fills. Samples buffered by Push are left alone. It panics
+// unless len(win) == WindowSamples(): its scratch is sized to one window.
+func (e *Estimator) Analyze(win []PlethSample) Estimate {
+	n := len(win)
+	if n != e.perWin {
+		panic("sigproc: Analyze needs exactly WindowSamples samples")
+	}
+	endT := win[n-1].T
 
 	// Channel means (DC) and zero-mean AC series.
 	var dcR, dcI float64
-	for _, s := range e.samples {
+	for _, s := range win {
 		dcR += s.Red
 		dcI += s.IR
 	}
@@ -116,16 +121,13 @@ func (e *Estimator) analyze() Estimate {
 	// original floating-point operation order bit for bit.
 	acI := e.ac[:n]
 	var rmsR, rmsI float64
-	for i, s := range e.samples {
+	for i, s := range win {
 		ar := s.Red - dcR
 		ai := s.IR - dcI
 		acI[i] = ai
 		rmsR += ar * ar
 		rmsI += ai * ai
 	}
-	// The IR sum of squares is also the autocorrelation at lag 0: the
-	// same products in the same order as a separate pass over acI.
-	r0 := rmsI
 	rmsR = math.Sqrt(rmsR / float64(n))
 	rmsI = math.Sqrt(rmsI / float64(n))
 	if rmsI == 0 {
@@ -136,7 +138,7 @@ func (e *Estimator) analyze() Estimate {
 	spo2 := SpO2ForRatio(ratio)
 
 	// Heart rate by autocorrelation peak of the IR AC component.
-	hr, periodicity := autocorrHR(acI, e.scores, r0, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
+	hr, periodicity := autocorrHR(acI, &e.scan, e.p.SampleRate, e.p.MinHeartRate, e.p.MaxHeartRate)
 
 	quality := periodicity
 	valid := quality >= e.p.MinQuality && hr >= e.p.MinHeartRate && hr <= e.p.MaxHeartRate &&
@@ -144,12 +146,50 @@ func (e *Estimator) analyze() Estimate {
 	return Estimate{T: endT, HeartRate: hr, SpO2: spo2, Valid: valid, Quality: quality}
 }
 
+// lagScratch is autocorrHR's scratch for windows of up to n samples.
+type lagScratch struct {
+	scores []float64 // lag-indexed autocorrelation sums, n
+	pre    []float64 // pre[k] is the sum of squares of x[:k], n+1
+	suf    []float64 // suf[k] is the sum of squares of x[k:], n+1
+}
+
+func newLagScratch(n int) lagScratch {
+	return lagScratch{
+		scores: make([]float64, n),
+		pre:    make([]float64, n+1),
+		suf:    make([]float64, n+1),
+	}
+}
+
 // autocorrHR finds the dominant periodicity in x and converts it to
 // beats/min. The returned periodicity in [0,1] is the normalized
 // autocorrelation at the detected lag — a natural signal-quality index
-// that collapses under uncorrelated artifact noise. r0 is x's sum of
-// squares, positive; scores is scratch of at least len(x).
-func autocorrHR(x, scores []float64, r0, fs, minHR, maxHR float64) (hr, periodicity float64) {
+// that collapses under uncorrelated artifact noise. sc is scratch for at
+// least len(x) samples.
+//
+// The scan scores lags in increasing order, four per block, and stops at
+// the first block whose first lag L cannot beat the best score so far.
+// By Cauchy–Schwarz the score at L, |Σ x[i+L]·x[i]|, is at most
+// sqrt(P[n−L]·S[L]), where P[k] = Σ x[:k]² and S[k] = Σ x[k:]². Neither
+// factor grows with L, so once the bound is below bestR·r0 no later
+// lag can pass the strict r > bestR test: bestLag and bestR are the full
+// scan's. The argument survives rounding:
+//   - P and S are running sums of non-negative terms and rounding is
+//     monotone, so the computed bound, too, never increases with L, with
+//     or without fused multiply-adds.
+//   - A computed m-term score exceeds the exact one by at most
+//     γ_m·Σ|x[i+L]·x[i]| ≤ γ_m·sqrt(P·S), γ_m ≈ m·2⁻⁵³; the computed P and
+//     S are within γ_n of the exact ones, and the bound, bestR·r0 and the
+//     division by r0 each round a few times more: under (2n+8)·2⁻⁵³ in all.
+//   - Below 2⁻¹⁰²² the errors turn absolute, at most 2⁻¹⁰⁷⁵ a product;
+//     over a window of under 2³⁰ samples they stay below 2⁻⁵²²·(1+r0).
+//
+// So the stop test (sqrt(P)·sqrt(S) + 2⁻⁵²⁰·(1+r0))·(1+δ) < bestR·r0·(1−δ),
+// with δ = 8n·2⁻⁵³ (1.8e-13 at n = 200), leaves every skipped lag's r
+// at or below bestR, however x is scaled. On return sc.scores[lag] is
+// lagCorr(x, lag) for every lag from minLag through the last block
+// scored; entries past the stop are stale.
+func autocorrHR(x []float64, sc *lagScratch, fs, minHR, maxHR float64) (hr, periodicity float64) {
 	n := len(x)
 	minLag := int(fs * 60 / maxHR)
 	maxLag := int(fs * 60 / minHR)
@@ -159,20 +199,44 @@ func autocorrHR(x, scores []float64, r0, fs, minHR, maxHR float64) (hr, periodic
 	if minLag < 1 {
 		minLag = 1
 	}
-	lagScores(x, scores, minLag, maxLag)
+	// P and S in one pass: two independent add chains that overlap. P's
+	// chain adds the squares in x's order from zero, the products and
+	// order of the IR sum of squares, so r0 is that sum bit for bit.
+	scores, pre, suf := sc.scores[:n], sc.pre[:n+1], sc.suf[:n+1]
+	var p, s float64
+	for i, v := range x {
+		pre[i] = p
+		p += v * v
+		j := n - 1 - i
+		suf[j+1] = s
+		s += x[j] * x[j]
+	}
+	pre[n], suf[0] = p, s
+	r0 := p
+	slack := 8 * float64(n) * 0x1p-53
+	floor := 0x1p-520 * (1 + r0)
+
 	bestLag, bestR := 0, 0.0
-	for lag := minLag; lag <= maxLag; lag++ {
-		r := scores[lag] / r0
-		if r > bestR {
-			bestR = r
-			bestLag = lag
+	for lag := minLag; lag <= maxLag; {
+		if (math.Sqrt(pre[n-lag])*math.Sqrt(suf[lag])+floor)*(1+slack) < bestR*r0*(1-slack) {
+			break
+		}
+		last := min(lag+3, maxLag)
+		lagScores(x, scores, lag, last)
+		for ; lag <= last; lag++ {
+			if r := scores[lag] / r0; r > bestR {
+				bestR = r
+				bestLag = lag
+			}
 		}
 	}
 	if bestLag == 0 {
 		return 0, 0
 	}
 	// Refine: if lag/2 also scores nearly as high, the true period is the
-	// half (we latched onto a subharmonic).
+	// half (we latched onto a subharmonic). half < bestLag, and the scan
+	// scored every lag from minLag through bestLag before it could stop,
+	// so scores[half] is this window's.
 	if half := bestLag / 2; half >= minLag {
 		if r := scores[half] / r0; r > 0.85*bestR {
 			bestLag = half

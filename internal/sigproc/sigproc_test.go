@@ -275,14 +275,7 @@ func refAutocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float
 		}
 		return r
 	}
-	minLag := int(fs * 60 / maxHR)
-	maxLag := int(fs * 60 / minHR)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if minLag < 1 {
-		minLag = 1
-	}
+	minLag, maxLag := gateLags(n, fs, minHR, maxHR)
 	bestLag, bestR := 0, 0.0
 	for lag := minLag; lag <= maxLag; lag++ {
 		r := corr(lag) / r0
@@ -301,6 +294,45 @@ func refAutocorrHR(x []float64, fs, minHR, maxHR float64) (hr, periodicity float
 		}
 	}
 	return 60 * fs / float64(bestLag), clamp01(bestR)
+}
+
+// gateLags is the lag range autocorrHR scans for a window of n samples.
+func gateLags(n int, fs, minHR, maxHR float64) (minLag, maxLag int) {
+	minLag, maxLag = int(fs*60/maxHR), int(fs*60/minHR)
+	if maxLag >= n {
+		maxLag = n - 1
+	}
+	if minLag < 1 {
+		minLag = 1
+	}
+	return minLag, maxLag
+}
+
+// rawPeak is the lag of the scan's maximum before the subharmonic
+// refinement, found by lagCorr over the whole range: the first lag whose
+// normalized score is greatest, or 0 if none is positive.
+func rawPeak(x []float64, minLag, maxLag int) int {
+	var r0 float64
+	for _, v := range x {
+		r0 += v * v
+	}
+	best, bestR := 0, 0.0
+	for lag := minLag; lag <= maxLag; lag++ {
+		if r := lagCorr(x, lag) / r0; r > bestR {
+			best, bestR = lag, r
+		}
+	}
+	return best
+}
+
+// nanScratch returns scan scratch for n samples with every score NaN, so
+// a score the scan did not write reads as NaN.
+func nanScratch(n int) *lagScratch {
+	sc := newLagScratch(n)
+	for i := range sc.scores {
+		sc.scores[i] = math.NaN()
+	}
+	return &sc
 }
 
 // refEstimate is the estimator's analysis of one full window as it was
@@ -341,12 +373,21 @@ func refEstimate(win []PlethSample, p EstimatorParams) Estimate {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// randomWindow returns a test window of one of three kinds: white noise,
-// a noisy sinusoid, or small integers, whose lag sums tie exactly and so
-// exercise the first-maximum-wins rule.
-func randomWindow(rng *rand.Rand, n int, fs float64) []float64 {
+// sameEstimate compares two estimates field for field, floats bit for bit.
+func sameEstimate(a, b Estimate) bool {
+	return a.T == b.T && a.Valid == b.Valid && sameBits(a.HeartRate, b.HeartRate) &&
+		sameBits(a.SpO2, b.SpO2) && sameBits(a.Quality, b.Quality)
+}
+
+// randomWindow returns a test window of one of four kinds for the gate
+// [minLag, maxLag]: white noise; a noisy sinusoid; small integers, whose
+// lag sums tie exactly and so exercise the first-maximum-wins rule; or a
+// small-integer pattern repeated exactly with a period p inside the gate.
+// In the last, lag p's score equals its Cauchy–Schwarz bound
+// sqrt(P[n−p]·S[p]) exactly, so the scan's early exit has no room to err.
+func randomWindow(rng *rand.Rand, n int, fs float64, minLag, maxLag int) []float64 {
 	x := make([]float64, n)
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -356,19 +397,34 @@ func randomWindow(rng *rand.Rand, n int, fs float64) []float64 {
 		for i := range x {
 			x[i] = math.Sin(2*math.Pi*float64(i)/period) + 0.3*rng.NormFloat64()
 		}
-	default:
+	case 2:
 		for i := range x {
 			x[i] = float64(rng.Intn(5) - 2)
 		}
 		x[0] = 1 // never an all-zero window
+	default:
+		p := 1 + rng.Intn(n-1)
+		if minLag <= maxLag {
+			p = minLag + rng.Intn(maxLag-minLag+1)
+		}
+		for i := range x[:p] {
+			x[i] = float64(rng.Intn(5) - 2)
+		}
+		x[0] = 1
+		for i := p; i < n; i++ {
+			x[i] = x[i-p]
+		}
 	}
 	return x
 }
 
-// The blocked lag scan must return the reference's heart rate and
+// The bounded lag scan must return the reference's heart rate and
 // periodicity bit for bit at every window length from 8 to 300 (lag counts
 // that are not multiples of 4, maxLag clamped to n-1), at four sample
 // rates, under the default gate and under a gate of fewer than 4 lags.
+// Wherever the refinement reads the raw peak's half lag, the scan must
+// have scored it: the scores start as NaN, so a read ahead of the scan
+// shows.
 func TestLagScanMatchesReference(t *testing.T) {
 	rates := []float64{10, 30, 50, 100}
 	gates := []struct{ minHR, maxHR float64 }{{25, 240}, {73, 75}}
@@ -378,29 +434,183 @@ func TestLagScanMatchesReference(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	scores := make([]float64, 300)
 	for n := 8; n <= 300; n++ {
 		for _, fs := range rates {
 			for _, g := range gates {
-				x := randomWindow(rng, n, fs)
-				var r0 float64
-				for _, v := range x {
-					r0 += v * v
-				}
+				minLag, maxLag := gateLags(n, fs, g.minHR, g.maxHR)
+				x := randomWindow(rng, n, fs, minLag, maxLag)
+				sc := nanScratch(n)
 				wantHR, wantQ := refAutocorrHR(x, fs, g.minHR, g.maxHR)
-				gotHR, gotQ := autocorrHR(x, scores[:n], r0, fs, g.minHR, g.maxHR)
+				gotHR, gotQ := autocorrHR(x, sc, fs, g.minHR, g.maxHR)
 				if !sameBits(gotHR, wantHR) || !sameBits(gotQ, wantQ) {
 					t.Fatalf("n=%d fs=%v gate=%v: got (%v, %v), want (%v, %v)",
 						n, fs, g, gotHR, gotQ, wantHR, wantQ)
+				}
+				if half := rawPeak(x, minLag, maxLag) / 2; half >= minLag && math.IsNaN(sc.scores[half]) {
+					t.Fatalf("n=%d fs=%v gate=%v: the refinement's lag %d was never scored", n, fs, g, half)
 				}
 			}
 		}
 	}
 }
 
+// The early exit must hold at any scale. Windows scaled far down, where
+// the sums of squares underflow and rounding errors turn absolute, and
+// far up, where they overflow, must still match the reference bit for
+// bit; so must windows whose head alone is scaled down, where the squares
+// of the head vanish but its products with the tail do not.
+func TestLagScanMatchesReferenceAtExtremeScales(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, exp := range []int{-600, -540, -520, -500, -480, 480, 505} {
+		for _, whole := range []bool{true, false} {
+			for n := 8; n <= 300; n += 7 {
+				for _, fs := range []float64{10, 50} {
+					minLag, maxLag := gateLags(n, fs, 25, 240)
+					x := randomWindow(rng, n, fs, minLag, maxLag)
+					head := x
+					if !whole {
+						head = x[:n-3]
+					}
+					for i := range head {
+						head[i] = math.Ldexp(head[i], exp)
+					}
+					wantHR, wantQ := refAutocorrHR(x, fs, 25, 240)
+					gotHR, gotQ := autocorrHR(x, nanScratch(n), fs, 25, 240)
+					if !sameBits(gotHR, wantHR) || !sameBits(gotQ, wantQ) {
+						t.Fatalf("scale 2^%d (whole %v) n=%d fs=%v: got (%v, %v), want (%v, %v)",
+							exp, whole, n, fs, gotHR, gotQ, wantHR, wantQ)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Near ties at the stop. Each window repeats a 12-sample pattern exactly,
+// so lag 12's score equals its bound, and the pattern is a period-4 one
+// with one sample moved by d, so lag 8's score crosses lag 12's as d
+// grows. For the few thousand d after the crossing, the two scores, the
+// bound at lag 12 and bestR·r0 agree to within rounding, and the scan
+// must still pick the reference's lag for each; a stop test without the
+// rounding slack stops at lag 12 too early for some of them. The bases
+// are ones where it does. The gate spans lags 8–24, so neither lag's
+// half is refined.
+func TestLagScanNearTieAtTheStop(t *testing.T) {
+	const n, fs, minHR, maxHR = 48, 10.0, 25.0, 75.0
+	bases := [][4]float64{
+		{-1.170653315761526, -0.6474057055250384, -1.2583964701992116, 0.1372945739105974},
+		{1.1653094009454363, -1.1456042193416267, 1.911371608859263, 0.179686726312996},
+		{-0.6946199731683498, -0.4820509651890248, 0.8203815923992245, -0.7747888176972985},
+	}
+	window := func(base [4]float64, d float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = base[i%4]
+			if i%12 == 5 {
+				x[i] += d
+			}
+		}
+		return x
+	}
+	for _, base := range bases {
+		gap := func(d float64) float64 {
+			x := window(base, d)
+			return lagCorr(x, 8) - lagCorr(x, 12)
+		}
+		lo, hi := 0.0, 4.0
+		if gap(lo) <= 0 || gap(hi) >= 0 {
+			t.Fatalf("base %v: lag 8 does not cross lag 12 on d in [0, 4]", base)
+		}
+		for mid := (lo + hi) / 2; mid != lo && mid != hi; mid = (lo + hi) / 2 {
+			if gap(mid) > 0 {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		lags := map[float64]bool{}
+		for d, i := lo, 0; i < 4000; d, i = math.Nextafter(d, 5), i+1 {
+			x := window(base, d)
+			wantHR, wantQ := refAutocorrHR(x, fs, minHR, maxHR)
+			gotHR, gotQ := autocorrHR(x, nanScratch(n), fs, minHR, maxHR)
+			if !sameBits(gotHR, wantHR) || !sameBits(gotQ, wantQ) {
+				t.Fatalf("base %v d=%v: got (%v, %v), want (%v, %v)", base, d, gotHR, gotQ, wantHR, wantQ)
+			}
+			lags[60*fs/wantHR] = true
+		}
+		if !lags[8] || !lags[12] {
+			t.Fatalf("base %v: the reference's lag never changed across the crossing: %v", base, lags)
+		}
+	}
+}
+
+// Analyze's scratch is sized to one window, so it refuses any other
+// length.
+func TestAnalyzeRejectsPartialWindow(t *testing.T) {
+	est := NewEstimator(DefaultEstimator())
+	win := synthWindow(est.WindowSamples()+1, 72, nil)
+	for _, n := range []int{0, est.WindowSamples() - 1, est.WindowSamples() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Analyze accepted %d samples, want exactly %d", n, est.WindowSamples())
+				}
+			}()
+			est.Analyze(win[:n])
+		}()
+	}
+}
+
+// On clean pulses the scan stops a few lags past the period, far short of
+// maxLag (120 at the default gate): the lags it skipped keep the NaN the
+// scores started with, and they form a suffix of the range.
+func TestLagScanStopsPastThePeak(t *testing.T) {
+	p := DefaultEstimator()
+	n := NewEstimator(p).WindowSamples()
+	minLag, maxLag := gateLags(n, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
+	for _, bpm := range []float64{40, 72, 150} {
+		x := irAC(synthWindow(n, bpm, nil))
+		sc := nanScratch(n)
+		hr, _ := autocorrHR(x, sc, p.SampleRate, p.MinHeartRate, p.MaxHeartRate)
+		lag := int(math.Round(60 * p.SampleRate / hr))
+		stop := minLag
+		for stop <= maxLag && !math.IsNaN(sc.scores[stop]) {
+			stop++
+		}
+		for l := stop; l <= maxLag; l++ {
+			if !math.IsNaN(sc.scores[l]) {
+				t.Fatalf("%v bpm: lag %d scored after the scan stopped at lag %d", bpm, l, stop)
+			}
+		}
+		if stop <= lag || stop > lag+12 {
+			t.Fatalf("%v bpm: scan stopped at lag %d, want within 12 lags past the detected lag %d (maxLag %d)",
+				bpm, stop, lag, maxLag)
+		}
+		if half := lag / 2; half >= minLag && math.IsNaN(sc.scores[half]) {
+			t.Fatalf("%v bpm: the refinement's lag %d was never scored", bpm, half)
+		}
+	}
+}
+
+// irAC returns the zero-mean IR series of a window, as Analyze forms it.
+func irAC(win []PlethSample) []float64 {
+	var dc float64
+	for _, s := range win {
+		dc += s.IR
+	}
+	dc /= float64(len(win))
+	x := make([]float64, len(win))
+	for i, s := range win {
+		x[i] = s.IR - dc
+	}
+	return x
+}
+
 // An alternating-amplitude pulse train repeats best at two beats, so the
 // raw scan peaks at lag 50; one beat (lag 25) scores within 15% of it and
 // the subharmonic refinement must report 120 bpm, as the reference does.
+// The raw peak comes from lagCorr: the scan's scores are stale past its
+// stop.
 func TestLagScanSubharmonicRefinement(t *testing.T) {
 	const n, fs, beat = 200, 50.0, 25
 	x := make([]float64, n)
@@ -415,22 +625,13 @@ func TestLagScanSubharmonicRefinement(t *testing.T) {
 		mean += x[i]
 	}
 	mean /= n
-	var r0 float64
 	for i := range x {
 		x[i] -= mean
-		r0 += x[i] * x[i]
 	}
 	p := DefaultEstimator()
-	scores := make([]float64, n)
-	hr, q := autocorrHR(x, scores, r0, fs, p.MinHeartRate, p.MaxHeartRate)
-	minLag, maxLag := int(fs*60/p.MaxHeartRate), int(fs*60/p.MinHeartRate)
-	rawBest := minLag
-	for lag := minLag; lag <= maxLag; lag++ {
-		if scores[lag] > scores[rawBest] {
-			rawBest = lag
-		}
-	}
-	if rawBest != 2*beat || hr != 60*fs/beat {
+	hr, q := autocorrHR(x, nanScratch(n), fs, p.MinHeartRate, p.MaxHeartRate)
+	minLag, maxLag := gateLags(n, fs, p.MinHeartRate, p.MaxHeartRate)
+	if rawBest := rawPeak(x, minLag, maxLag); rawBest != 2*beat || hr != 60*fs/beat {
 		t.Fatalf("raw peak at lag %d, hr %v: want raw lag %d refined to %v bpm", rawBest, hr, 2*beat, 60*fs/beat)
 	}
 	if wantHR, wantQ := refAutocorrHR(x, fs, p.MinHeartRate, p.MaxHeartRate); !sameBits(hr, wantHR) || !sameBits(q, wantQ) {
@@ -440,7 +641,8 @@ func TestLagScanSubharmonicRefinement(t *testing.T) {
 
 // Through the public API, every estimate over synthesized windows with
 // motion, dropout and bias injected must match the reference analysis of
-// the same samples field for field, floats bit for bit.
+// the same samples field for field, floats bit for bit, and Analyze of a
+// completed window must return what Push did.
 func TestEstimatorMatchesReference(t *testing.T) {
 	p := DefaultEstimator()
 	valid, invalid := 0, 0
@@ -470,9 +672,11 @@ func TestEstimatorMatchesReference(t *testing.T) {
 				continue
 			}
 			want := refEstimate(win, p)
-			if got.T != want.T || got.Valid != want.Valid || !sameBits(got.HeartRate, want.HeartRate) ||
-				!sameBits(got.SpO2, want.SpO2) || !sameBits(got.Quality, want.Quality) {
+			if !sameEstimate(got, want) {
 				t.Fatalf("seed %d window %d: got %+v, want %+v", seed, windows, got, want)
+			}
+			if a := est.Analyze(win); !sameEstimate(a, got) {
+				t.Fatalf("seed %d window %d: Analyze %+v, Push %+v", seed, windows, a, got)
 			}
 			if got.Valid {
 				valid++
