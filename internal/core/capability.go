@@ -84,19 +84,28 @@ func SplitTopic(topic string) (deviceID, capability string, ok bool) {
 // segment: "pump1/*" matches every capability of pump1; "*/spo2" matches
 // spo2 from any device; "*/*" matches everything.
 func MatchTopic(pattern, topic string) bool {
-	pd, pc, ok := SplitTopic(pattern)
-	if !ok {
-		return pattern == topic
+	return splitParts(pattern).matches(splitParts(topic))
+}
+
+// topicParts is a topic or pattern split once by SplitTopic, so the
+// manager splits each subscription pattern at Subscribe and each
+// published topic once, however many subscriptions it is matched
+// against.
+type topicParts struct {
+	whole, device, capability string
+	ok                        bool // SplitTopic's ok; a malformed pattern matches only itself
+}
+
+func splitParts(s string) topicParts {
+	device, capability, ok := SplitTopic(s)
+	return topicParts{whole: s, device: device, capability: capability, ok: ok}
+}
+
+// matches is MatchTopic's rule: p is the pattern, t the topic.
+func (p topicParts) matches(t topicParts) bool {
+	if !p.ok {
+		return p.whole == t.whole
 	}
-	td, tc, ok := SplitTopic(topic)
-	if !ok {
-		return false
-	}
-	if pd != "*" && pd != td {
-		return false
-	}
-	if pc != "*" && pc != tc {
-		return false
-	}
-	return true
+	return t.ok && (p.device == "*" || p.device == t.device) &&
+		(p.capability == "*" || p.capability == t.capability)
 }

@@ -189,3 +189,22 @@ func TestReplayWindowNoDoubleAdmitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The manager's pre-split subscriptions (pattern split once at Subscribe,
+// topic split once per publish) match exactly what MatchTopic matches,
+// over every pattern × topic pair of a grid that covers the malformed
+// forms, the wildcards and a capability that itself holds a slash.
+func TestPreSplitMatchEqualsMatchTopic(t *testing.T) {
+	grid := []string{"", "a", "/b", "a/", "*", "*/*", "a/*", "*/b", "a/b", "a/b/c"}
+	m := newRig(t, DefaultManagerConfig()).mgr
+	for _, pattern := range grid {
+		m.Subscribe(pattern, func(string, Datum) {})
+		sub := m.subs[len(m.subs)-1]
+		for _, topic := range grid {
+			want := MatchTopic(pattern, topic)
+			if got := sub.pattern.matches(splitParts(topic)); got != want {
+				t.Errorf("pattern %q, topic %q: pre-split match %v, MatchTopic %v", pattern, topic, got, want)
+			}
+		}
+	}
+}

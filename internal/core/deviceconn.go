@@ -34,9 +34,9 @@ type DeviceConn struct {
 	handlers  map[string]CommandHandler
 	connected bool
 
-	// topics caches the capability -> "<id>/<capability>" strings so the
-	// publish hot path never rebuilds them.
-	topics map[string]string
+	// topics[i] is Topic(id, desc.Capabilities[i].Name), built at
+	// Connect so the publish hot path never builds a string.
+	topics []string
 
 	// Scratch state for the zero-allocation send/receive paths; see
 	// Manager for the rationale.
@@ -87,8 +87,11 @@ func Connect(k *sim.Kernel, net *mednet.Network, desc Descriptor, cfg ConnectCon
 		auth:      cfg.Auth,
 		codec:     cfg.Codec,
 		handlers:  make(map[string]CommandHandler),
-		topics:    make(map[string]string, len(desc.Capabilities)),
+		topics:    make([]string, len(desc.Capabilities)),
 		connected: true,
+	}
+	for i, cb := range desc.Capabilities {
+		c.topics[i] = Topic(desc.ID, cb.Name)
 	}
 	net.Register(desc.ID, c.onMessage)
 	c.sendEnvelope(MsgAnnounce, &c.desc)
@@ -116,7 +119,7 @@ func MustConnect(k *sim.Kernel, net *mednet.Network, desc Descriptor, cfg Connec
 // Connect would), and re-arms its heartbeat ticker — the exact tail of
 // Connect, replayed so the clone's scheduling order matches a
 // from-scratch build. Handlers, admission callbacks, the codec, and the
-// topic cache are retained. Callers must Reset the kernel and network
+// topics are retained. Callers must Reset the kernel and network
 // first and reset device connections in their original Connect order.
 func (c *DeviceConn) Reset() {
 	c.seq = 0
@@ -157,26 +160,26 @@ func (c *DeviceConn) Handle(name string, h CommandHandler) {
 	c.handlers[name] = h
 }
 
-// topic resolves the cached publish topic for a capability.
-func (c *DeviceConn) topic(capability string) string {
-	if t, ok := c.topics[capability]; ok {
-		return t
-	}
-	t := Topic(c.desc.ID, capability)
-	c.topics[capability] = t
-	return t
-}
-
 // Publish sends one observation for a declared sensor or event capability.
 func (c *DeviceConn) Publish(capability string, value float64, valid bool, quality float64, sampled sim.Time) {
 	if !c.connected {
 		return
 	}
-	if !c.desc.Has(capability, ClassSensor) && !c.desc.Has(capability, ClassEvent) {
+	topic := ""
+	for i := range c.desc.Capabilities {
+		// Validate made names unique, so the first name match decides.
+		if cb := &c.desc.Capabilities[i]; cb.Name == capability {
+			if cb.Class == ClassSensor || cb.Class == ClassEvent {
+				topic = c.topics[i]
+			}
+			break
+		}
+	}
+	if topic == "" {
 		panic(fmt.Sprintf("core: device %s publishing unadvertised capability %q", c.desc.ID, capability))
 	}
 	c.datumScratch = Datum{
-		Topic: c.topic(capability), Value: value, Valid: valid,
+		Topic: topic, Value: value, Valid: valid,
 		Quality: quality, Sampled: sampled,
 	}
 	c.sendEnvelope(MsgPublish, &c.datumScratch)
@@ -210,12 +213,10 @@ func (c *DeviceConn) sendEnvelope(t MsgType, body any) {
 }
 
 func (c *DeviceConn) onMessage(msg mednet.Message) {
-	e, err := c.codec.Decode(msg.Payload)
-	if err != nil {
+	env := &c.envScratch
+	if c.codec.DecodeInto(env, msg.Payload, msg.From, msg.To) != nil {
 		return
 	}
-	c.envScratch = e
-	env := &c.envScratch
 	if err := verifyEnvelope(c.auth, env); err != nil {
 		c.AuthRejected++
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/icewire"
@@ -120,12 +121,13 @@ func (w *replayWindow) admit(seq uint64) bool {
 }
 
 type managedDevice struct {
+	id     string
 	status DeviceStatus
 	replay replayWindow
 }
 
 type subscription struct {
-	pattern string
+	pattern topicParts
 	fn      func(from string, d Datum)
 }
 
@@ -172,6 +174,11 @@ type Manager struct {
 	seq     uint64
 	cmdSeq  uint64
 	sweeper *sim.Ticker
+
+	// admitted holds the devices of the map in admission order, for the
+	// liveness sweep and Devices. A re-announce keeps its slot: it
+	// re-admits into the same *managedDevice.
+	admitted []*managedDevice
 
 	// cmdPool recycles pendingCmd slots so acknowledged commands do not
 	// allocate one per send at steady state.
@@ -244,6 +251,8 @@ func (m *Manager) Addr() string { return m.cfg.Addr }
 // are retained. Callers must Reset the kernel first.
 func (m *Manager) Reset() {
 	clear(m.devices)
+	clear(m.admitted)
+	m.admitted = m.admitted[:0]
 	for _, p := range m.pending {
 		*p = pendingCmd{}
 		m.cmdPool = append(m.cmdPool, p)
@@ -269,7 +278,7 @@ func (m *Manager) Subscribe(pattern string, fn func(from string, d Datum)) {
 	if fn == nil {
 		panic("core: nil subscription callback")
 	}
-	m.subs = append(m.subs, subscription{pattern: pattern, fn: fn})
+	m.subs = append(m.subs, subscription{pattern: splitParts(pattern), fn: fn})
 }
 
 // WatchDevices registers fn to be called on every admission, departure and
@@ -287,12 +296,12 @@ func (m *Manager) Device(id string) (DeviceStatus, bool) {
 	return d.status, true
 }
 
-// Devices lists the IDs of all admitted devices.
+// Devices lists the IDs of all admitted devices, in admission order.
 func (m *Manager) Devices() []string {
 	var out []string
-	for id, d := range m.devices {
+	for _, d := range m.admitted {
 		if d.status.Admitted {
-			out = append(out, id)
+			out = append(out, d.id)
 		}
 	}
 	return out
@@ -329,42 +338,42 @@ func (m *Manager) send(to string, t MsgType, body any) {
 }
 
 func (m *Manager) onMessage(msg mednet.Message) {
-	e, err := m.codec.Decode(msg.Payload)
-	if err != nil {
+	// Decode into the manager-owned scratch slot: handlers run
+	// synchronously one message at a time, so the slot is never live
+	// across messages and no per-message envelope reaches the heap. The
+	// datagram's addresses name the frame's sender and recipient unless
+	// the frame disagrees, so they spare the codec's intern lookups.
+	env := &m.envScratch
+	if err := m.codec.DecodeInto(env, msg.Payload, msg.From, msg.To); err != nil {
 		m.Malformed++
 		return
 	}
-	// Decode into the manager-owned scratch slot: handlers run
-	// synchronously one message at a time, so the slot is never live
-	// across messages and no per-message envelope reaches the heap.
-	m.envScratch = e
-	env := &m.envScratch
+	// The frame's one device lookup (nil for an unknown sender). Nothing
+	// before the handlers below changes the registry.
+	d := m.devices[env.From]
 	if err := verifyEnvelope(m.cfg.Auth, env); err != nil {
 		m.AuthRejected++
-		if d, ok := m.devices[env.From]; ok {
+		if d != nil {
 			d.status.AuthFailures++
 		}
 		return
 	}
-	// Anti-replay per sender (also deduplicates network-duplicated frames).
-	if env.Type != MsgAnnounce { // announce may legitimately restart seq after reboot
-		if d, ok := m.devices[env.From]; ok {
-			if !d.replay.admit(env.Seq) {
-				m.ReplayRejected++
-				return
-			}
-		}
+	// Anti-replay per sender (also deduplicates network-duplicated
+	// frames); announce may legitimately restart seq after reboot.
+	if env.Type != MsgAnnounce && d != nil && !d.replay.admit(env.Seq) {
+		m.ReplayRejected++
+		return
 	}
 
 	switch env.Type {
 	case MsgAnnounce:
 		m.handleAnnounce(env)
 	case MsgPublish:
-		m.handlePublish(env)
+		m.handlePublish(env, d)
 	case MsgCommandAck:
-		m.handleCommandAck(env)
+		m.handleCommandAck(env, d)
 	case MsgHeartbeat:
-		m.touch(env.From)
+		m.touch(d)
 	case MsgBye:
 		m.handleBye(env)
 	default:
@@ -389,19 +398,23 @@ func (m *Manager) handleAnnounce(env *Envelope) {
 		result = AdmitResult{OK: false, Reason: reason}
 	}
 	if result.OK {
-		d := &managedDevice{status: DeviceStatus{
+		d := m.devices[desc.ID]
+		if d == nil {
+			d = &managedDevice{}
+			m.devices[desc.ID] = d
+			m.admitted = append(m.admitted, d)
+		}
+		*d = managedDevice{id: desc.ID, status: DeviceStatus{
 			Descriptor: desc, Admitted: true, Alive: true, LastSeen: m.k.Now(),
 		}}
 		d.replay.admit(env.Seq)
-		m.devices[desc.ID] = d
-		m.notify(desc.ID)
+		m.notify(d)
 	}
 	m.send(env.From, MsgAdmit, result)
 }
 
-func (m *Manager) handlePublish(env *Envelope) {
-	d, ok := m.devices[env.From]
-	if !ok || !d.status.Admitted {
+func (m *Manager) handlePublish(env *Envelope, d *managedDevice) {
+	if d == nil || !d.status.Admitted {
 		return // not admitted: data from unknown devices is discarded
 	}
 	if err := env.DecodeBody(&m.datumScratch); err != nil {
@@ -409,26 +422,26 @@ func (m *Manager) handlePublish(env *Envelope) {
 		return
 	}
 	datum := m.datumScratch
-	devID, _, ok := SplitTopic(datum.Topic)
-	if !ok || devID != env.From {
+	topic := splitParts(datum.Topic)
+	if !topic.ok || topic.device != env.From {
 		m.Malformed++ // devices may only publish under their own prefix
 		return
 	}
-	m.touch(env.From)
+	m.touch(d)
 	for _, s := range m.subs {
-		if MatchTopic(s.pattern, datum.Topic) {
+		if s.pattern.matches(topic) {
 			s.fn(env.From, datum)
 		}
 	}
 }
 
-func (m *Manager) handleCommandAck(env *Envelope) {
+func (m *Manager) handleCommandAck(env *Envelope, d *managedDevice) {
 	if err := env.DecodeBody(&m.ackScratch); err != nil {
 		m.Malformed++
 		return
 	}
 	ack := m.ackScratch
-	m.touch(env.From)
+	m.touch(d)
 	if p, ok := m.pending[ack.ID]; ok {
 		delete(m.pending, ack.ID)
 		m.k.Cancel(p.timeout)
@@ -442,39 +455,44 @@ func (m *Manager) handleCommandAck(env *Envelope) {
 }
 
 func (m *Manager) handleBye(env *Envelope) {
-	if _, ok := m.devices[env.From]; ok {
-		delete(m.devices, env.From)
-		for _, w := range m.watch {
-			w(env.From, DeviceStatus{Admitted: false, Alive: false, LastSeen: m.k.Now()})
-		}
+	d, ok := m.devices[env.From]
+	if !ok {
+		return
+	}
+	delete(m.devices, env.From)
+	m.admitted = slices.DeleteFunc(m.admitted, func(a *managedDevice) bool { return a == d })
+	for _, w := range m.watch {
+		w(env.From, DeviceStatus{Admitted: false, Alive: false, LastSeen: m.k.Now()})
 	}
 }
 
-func (m *Manager) touch(id string) {
-	d, ok := m.devices[id]
-	if !ok {
+// touch records a sign of life from d; nil (an unknown sender) is a no-op.
+func (m *Manager) touch(d *managedDevice) {
+	if d == nil {
 		return
 	}
 	d.status.LastSeen = m.k.Now()
 	if !d.status.Alive {
 		d.status.Alive = true
-		m.notify(id)
+		m.notify(d)
 	}
 }
 
+// sweepLiveness marks silent devices stale; watchers see devices that go
+// stale in the same sweep in admission order.
 func (m *Manager) sweepLiveness() {
 	cutoff := m.k.Now() - sim.Time(m.cfg.LivenessTimeout)
-	for id, d := range m.devices {
+	for _, d := range m.admitted {
 		if d.status.Alive && d.status.LastSeen < cutoff {
 			d.status.Alive = false
-			m.notify(id)
+			m.notify(d)
 		}
 	}
 }
 
-func (m *Manager) notify(id string) {
-	st := m.devices[id].status
+func (m *Manager) notify(d *managedDevice) {
+	st := d.status
 	for _, w := range m.watch {
-		w(id, st)
+		w(d.id, st)
 	}
 }

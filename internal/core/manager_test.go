@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -382,19 +384,36 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// Publishing an actuator, a setting or an undeclared capability panics
+// with the same message whichever way the capability fails; sensors and
+// events publish.
 func TestPublishUnadvertisedCapabilityPanics(t *testing.T) {
 	r := newRig(t, DefaultManagerConfig())
-	r.k.At(0, func() {
-		c := MustConnect(r.k, r.net, oximeterDesc("ox1"), ConnectConfig{})
-		defer func() {
-			if recover() == nil {
-				t.Error("publishing unadvertised capability did not panic")
-			}
-		}()
-		c.Publish("etco2", 38, true, 1, r.k.Now())
-	})
-	if err := r.k.Run(sim.Second); err != nil {
-		t.Fatal(err)
+	desc := Descriptor{
+		ID: "dev1", Kind: KindInfusionPump,
+		Capabilities: []Capability{
+			{Name: "rate", Class: ClassSensor, Criticality: 3},
+			{Name: "occlusion", Class: ClassEvent, Criticality: 3},
+			{Name: "stop", Class: ClassActuator, Criticality: 3},
+			{Name: "limit", Class: ClassSetting, Criticality: 3},
+		},
+	}
+	c := MustConnect(r.k, r.net, desc, ConnectConfig{})
+	publish := func(capability string) (recovered any) {
+		defer func() { recovered = recover() }()
+		c.Publish(capability, 1, true, 1, r.k.Now())
+		return nil
+	}
+	for _, ok := range []string{"rate", "occlusion"} {
+		if got := publish(ok); got != nil {
+			t.Errorf("publishing %s panicked: %v", ok, got)
+		}
+	}
+	for _, bad := range []string{"stop", "limit", "etco2"} {
+		want := fmt.Sprintf("core: device dev1 publishing unadvertised capability %q", bad)
+		if got := publish(bad); got != want {
+			t.Errorf("publishing %s: panic %v, want %q", bad, got, want)
+		}
 	}
 }
 
@@ -411,5 +430,78 @@ func TestHandleUnadvertisedCommandPanics(t *testing.T) {
 	})
 	if err := r.k.Run(sim.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Devices that go stale in the same sweep reach the watchers in
+// admission order, and Devices lists them in that order too — in every
+// rig, not by the luck of map iteration.
+func TestStaleNotificationsInAdmissionOrder(t *testing.T) {
+	ids := []string{"ox-b", "ox-c", "ox-a"}
+	for rigN := 0; rigN < 50; rigN++ {
+		r := newRig(t, DefaultManagerConfig())
+		var admitted, stale []string
+		r.mgr.WatchDevices(func(id string, st DeviceStatus) {
+			if st.Alive {
+				admitted = append(admitted, id)
+			} else {
+				stale = append(stale, id)
+			}
+		})
+		for i, id := range ids {
+			r.k.At(sim.Time(i)*10*sim.Millisecond, func() {
+				c := MustConnect(r.k, r.net, oximeterDesc(id), ConnectConfig{})
+				r.k.At(1500*sim.Millisecond, c.Crash) // all three fall silent together
+			})
+		}
+		if err := r.k.Run(10 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(admitted, ids) {
+			t.Fatalf("rig %d: admissions %v, want %v", rigN, admitted, ids)
+		}
+		if !slices.Equal(stale, ids) {
+			t.Fatalf("rig %d: stale notifications %v, want admission order %v", rigN, stale, ids)
+		}
+		if got := r.mgr.Devices(); !slices.Equal(got, ids) {
+			t.Fatalf("rig %d: Devices() = %v, want admission order %v", rigN, got, ids)
+		}
+	}
+}
+
+// A device that restarts and re-announces keeps its registry slot, and
+// liveness tracks the restarted connection: its later crash is noticed
+// one liveness timeout after its last heartbeat, and nothing goes stale
+// in between.
+func TestReannounceKeepsSlotAndLiveness(t *testing.T) {
+	r := newRig(t, DefaultManagerConfig())
+	var events []string
+	r.mgr.WatchDevices(func(id string, st DeviceStatus) {
+		events = append(events, fmt.Sprintf("%s alive=%v", id, st.Alive))
+		if !st.Alive && (id != "a" || r.k.Now() < 11*sim.Second) {
+			t.Errorf("%s reported stale at %v", id, r.k.Now().Duration())
+		}
+	})
+	r.k.At(0, func() {
+		a := MustConnect(r.k, r.net, oximeterDesc("a"), ConnectConfig{})
+		r.k.At(1500*sim.Millisecond, a.Crash)
+	})
+	r.k.At(10*sim.Millisecond, func() { MustConnect(r.k, r.net, oximeterDesc("b"), ConnectConfig{}) })
+	r.k.At(2*sim.Second, func() { // restart before the first crash goes stale
+		a := MustConnect(r.k, r.net, oximeterDesc("a"), ConnectConfig{})
+		r.k.At(8*sim.Second, a.Crash)
+	})
+	if err := r.k.Run(15 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a alive=true", "b alive=true", "a alive=true", "a alive=false"}
+	if !slices.Equal(events, want) {
+		t.Fatalf("watcher saw %v, want %v", events, want)
+	}
+	if got := r.mgr.Devices(); !slices.Equal(got, []string{"a", "b"}) {
+		t.Fatalf("Devices() = %v, want [a b]", got)
+	}
+	if st, _ := r.mgr.Device("a"); st.Alive {
+		t.Fatal("restarted device still alive after its second crash")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -164,9 +165,7 @@ func (s *Scheduler) Close() {
 	if !s.closed {
 		s.closed = true
 		for _, j := range s.jobs {
-			if j.requestCancel() {
-				s.removeQueuedLocked(j)
-			}
+			s.cancelLocked(j)
 		}
 		s.cond.Broadcast()
 	}
@@ -198,9 +197,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		for _, j := range s.jobs {
-			if j.requestCancel() {
-				s.removeQueuedLocked(j)
-			}
+			s.cancelLocked(j)
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
@@ -398,6 +395,7 @@ func (s *Scheduler) popLocked() *Job {
 		best.queues[lane] = q[:len(q)-1]
 		best.queued--
 		best.running++
+		job.dispatched = true
 		s.queuedTotal--
 		// Advance the virtual clock to the winner's pass, then charge the
 		// winner cost/weight: heavier tenants' passes climb slower, so
@@ -410,54 +408,38 @@ func (s *Scheduler) popLocked() *Job {
 	return nil
 }
 
-// jobDoneLocked returns a dispatched job's resources to its tenant after
-// the executor is through with it (run, cancelled mid-run, or skipped
-// because it was cancelled between pop and start). Callers hold s.mu.
-func (s *Scheduler) jobDoneLocked(job *Job) {
+// releaseLocked returns an admitted job's resources to its tenant, once:
+// a queued job leaves its lane queue, a dispatched one frees its running
+// slot, and either way its cell charge is freed and an idle tenant
+// reaped. Every path runs it before the job's Done closes, so a client
+// that resubmits the moment Done closes never meets its own old charge.
+// Callers hold s.mu.
+func (s *Scheduler) releaseLocked(job *Job) {
+	if job.released {
+		return
+	}
+	job.released = true
 	t := s.tenants[job.Req.Tenant]
 	if t == nil {
 		return
 	}
-	t.running--
-	s.freeQuotaLocked(t, job)
+	if job.dispatched {
+		t.running--
+	} else if i := slices.Index(t.queues[job.laneIdx], job); i >= 0 {
+		t.queues[job.laneIdx] = slices.Delete(t.queues[job.laneIdx], i, i+1)
+		t.queued--
+		s.queuedTotal--
+	}
+	t.cells -= job.cost
 	s.reapLocked(t)
 	s.cond.Broadcast()
 }
 
-// removeQueuedLocked takes a cancelled job out of its tenant's lane
-// queue, freeing its queue slot and cell charge immediately rather than
-// when an executor would have popped it. A job already popped (or
-// already removed) is left to jobDoneLocked. Callers hold s.mu.
-func (s *Scheduler) removeQueuedLocked(job *Job) {
-	t := s.tenants[job.Req.Tenant]
-	if t == nil {
-		return
-	}
-	q := t.queues[job.laneIdx]
-	for i, j := range q {
-		if j != job {
-			continue
-		}
-		copy(q[i:], q[i+1:])
-		q[len(q)-1] = nil
-		t.queues[job.laneIdx] = q[:len(q)-1]
-		t.queued--
-		s.queuedTotal--
-		s.freeQuotaLocked(t, job)
-		s.reapLocked(t)
-		s.cond.Broadcast()
-		return
-	}
-}
-
-// freeQuotaLocked releases a job's cell charge exactly once, no matter
-// how many paths observe its end. Callers hold s.mu.
-func (s *Scheduler) freeQuotaLocked(t *tenantState, job *Job) {
-	if job.quotaFreed {
-		return
-	}
-	job.quotaFreed = true
-	t.cells -= job.cost
+// cancelLocked aborts a queued or running job (see Job.requestCancel),
+// releasing a queued one's resources before its Done closes; it reports
+// whether there was anything to abort. Callers hold s.mu.
+func (s *Scheduler) cancelLocked(j *Job) bool {
+	return j.requestCancel(func() { s.releaseLocked(j) })
 }
 
 // reapLocked drops a tenant with nothing in flight: state is cheap to
@@ -540,9 +522,8 @@ func (s *Scheduler) Cancel(id string) error {
 	if !ok {
 		return fmt.Errorf("icegate: unknown job %q", id)
 	}
-	if j.requestCancel() {
+	if s.cancelLocked(j) {
 		s.met.jobsCancelled.Add(1)
-		s.removeQueuedLocked(j)
 	}
 	return nil
 }
@@ -567,9 +548,6 @@ func (s *Scheduler) executor() {
 		}
 		s.mu.Unlock()
 		s.runJob(job, sum)
-		s.mu.Lock()
-		s.jobDoneLocked(job)
-		s.mu.Unlock()
 	}
 }
 
@@ -578,7 +556,7 @@ func (s *Scheduler) runJob(job *Job, sum *fleet.Summary) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !job.start(cancel) {
-		return // cancelled while queued
+		return // cancelled while queued, which released it
 	}
 	if s.hooks.jobRunning != nil {
 		s.hooks.jobRunning(job)
@@ -594,10 +572,10 @@ func (s *Scheduler) runJob(job *Job, sum *fleet.Summary) {
 
 	switch {
 	case ctx.Err() != nil:
-		job.finish(StatusCancelled, "", ctx.Err().Error(), false)
+		s.finishRun(job, StatusCancelled, "", ctx.Err().Error())
 	case err != nil:
 		s.met.jobsFailed.Add(1)
-		job.finish(StatusFailed, "", err.Error(), false)
+		s.finishRun(job, StatusFailed, "", err.Error())
 	default:
 		// Memoize with cells re-sorted into deterministic index order so a
 		// cache hit replays the same stream regardless of this run's
@@ -616,8 +594,17 @@ func (s *Scheduler) runJob(job *Job, sum *fleet.Summary) {
 		s.cache.put(job.key, entry)
 		s.storePut(job.key, entry)
 		s.met.jobsDone.Add(1)
-		job.finish(StatusDone, table, "", false)
+		s.finishRun(job, StatusDone, table, "")
 	}
+}
+
+// finishRun moves a job its executor ran to a terminal state, releasing
+// its resources first.
+func (s *Scheduler) finishRun(job *Job, status Status, table, errMsg string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseLocked(job)
+	job.finish(status, table, errMsg, false)
 }
 
 // runScenario executes a fleet ensemble, streaming each cell as it lands

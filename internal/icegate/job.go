@@ -188,11 +188,13 @@ type Job struct {
 	key string
 
 	// Scheduler bookkeeping, guarded by Scheduler.mu (not j.mu): the
-	// dispatch lane, the cell-quota charge, whether that charge has been
-	// returned, and when the job entered its queue.
+	// dispatch lane, the cell-quota charge, whether an executor has
+	// popped the job, whether its resources have been released, and when
+	// it entered its queue.
 	laneIdx    int
 	cost       int
-	quotaFreed bool
+	dispatched bool
+	released   bool
 	enqueuedAt time.Time
 
 	mu         sync.Mutex
@@ -383,11 +385,13 @@ func (j *Job) finish(status Status, table, errMsg string, cached bool) {
 	close(j.done)
 }
 
-// requestCancel flips a queued job straight to cancelled or signals a
-// running job's context; terminal jobs are left alone (returns false).
-func (j *Job) requestCancel() bool {
+// requestCancel flips a queued job straight to cancelled, running
+// release before Done closes, or signals a running job's context;
+// terminal jobs are left alone (returns false).
+func (j *Job) requestCancel(release func()) bool {
 	j.mu.Lock()
 	if j.status == StatusQueued {
+		release()
 		j.status = StatusCancelled
 		j.errMsg = context.Canceled.Error()
 		j.closeTraceLocked(StatusCancelled)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -286,6 +287,44 @@ func TestTenantTableCapped(t *testing.T) {
 	s.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("tenant table holds %d entries after drain, want 0", n)
+	}
+}
+
+// A client that waits on Done and resubmits at once is never refused
+// for its own finished job: the executor frees the tenant's cell charge,
+// and reaps the idle tenant, before Done closes. The test checks Done
+// only while holding s.mu, so it sees the tenant table as a resubmission
+// would at the earliest moment it could; a release that lags Done fails
+// here within a few rounds.
+func TestDoneClosesAfterChargeReleased(t *testing.T) {
+	s := NewScheduler(Config{
+		QueueDepth: 4, Executors: 1, Workers: 1,
+		Tenants: TenantsConfig{Tenants: map[string]Quota{"solo": {MaxCells: 1}}},
+	})
+	t.Cleanup(s.Close)
+	for round := 0; round < 200; round++ {
+		req := gatedReq("solo", LaneInteractive)
+		close(gate(req.Seed))
+		job, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("round %d: resubmission refused: %v", round, err)
+		}
+		for done := false; !done; runtime.Gosched() {
+			s.mu.Lock()
+			select {
+			case <-job.Done():
+				done = true
+			default:
+			}
+			charged := -1
+			if ts := s.tenants["solo"]; done && ts != nil {
+				charged = ts.cells
+			}
+			s.mu.Unlock()
+			if charged >= 0 {
+				t.Fatalf("round %d: Done closed while the tenant still holds %d cells", round, charged)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // IEEE-754 bits, little-endian, fixed 8 bytes.
 //
 //	offset 0  version byte (0x01)
-//	offset 1  message type code (see typeCodes)
+//	offset 1  message type code (see typeCode)
 //	uvarint   seq
 //	uvarint   at   (sim.Time nanoseconds, as uint64)
 //	bytes     from (uvarint length + UTF-8)
@@ -50,14 +50,26 @@ const Version1 = 0x01
 // returned uninterned (correct, just no longer allocation-free).
 const maxInternEntries = 1 << 12
 
-var typeCodes = map[MsgType]byte{
-	MsgAnnounce:   1,
-	MsgAdmit:      2,
-	MsgPublish:    3,
-	MsgCommand:    4,
-	MsgCommandAck: 5,
-	MsgHeartbeat:  6,
-	MsgBye:        7,
+// typeCode returns a message type's frame code; ok is false for a type
+// outside the wire protocol. typeNames is its inverse.
+func typeCode(t MsgType) (code byte, ok bool) {
+	switch t {
+	case MsgAnnounce:
+		return 1, true
+	case MsgAdmit:
+		return 2, true
+	case MsgPublish:
+		return 3, true
+	case MsgCommand:
+		return 4, true
+	case MsgCommandAck:
+		return 5, true
+	case MsgHeartbeat:
+		return 6, true
+	case MsgBye:
+		return 7, true
+	}
+	return 0, false
 }
 
 var typeNames = [8]MsgType{
@@ -77,7 +89,9 @@ var classNames = [5]CapabilityClass{
 // cell and must not be shared across kernels or goroutines (cells are
 // single-threaded by construction; parallelism lives in the fleet
 // layer): the string intern table keeps steady-state decode
-// allocation-free, and the scratch buffers keep encode appends in place.
+// allocation-free for the strings DecodeInto's hints do not cover
+// (topics, command names and args, ack errors, mismatched names), and
+// the scratch buffers keep encode appends in place.
 type Binary struct {
 	st     codecStats
 	intern map[string]string
@@ -101,7 +115,7 @@ func (c *Binary) Stats() CodecStats { return c.st.stats() }
 func (c *Binary) AppendEnvelope(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body any) ([]byte, error) {
 	sampled := c.st.beginSample()
 	start := len(dst)
-	code, ok := typeCodes[t]
+	code, ok := typeCode(t)
 	if !ok {
 		return dst, fmt.Errorf("icewire: cannot binary-encode message type %q", t)
 	}
@@ -244,7 +258,7 @@ func appendDescriptor(dst []byte, d *Descriptor) ([]byte, error) {
 // without colliding with protocol frames.
 func appendSigningFrame(dst []byte, t MsgType, from, to string, seq uint64, at sim.Time, body []byte) []byte {
 	dst = append(dst, Version1)
-	if code, ok := typeCodes[t]; ok {
+	if code, ok := typeCode(t); ok {
 		dst = append(dst, code)
 	} else {
 		dst = append(dst, 0xFF)
@@ -351,66 +365,102 @@ func (c *Binary) internString(b []byte) string {
 	return s
 }
 
+// hinted returns hint when b spells it, and b interned otherwise.
+func (c *Binary) hinted(b []byte, hint string) string {
+	if string(b) == hint {
+		return hint
+	}
+	return c.internString(b)
+}
+
 // Decode parses one frame. The returned envelope's From/To are interned,
 // and Body, Auth and the signing window alias the input buffer; the
 // envelope is only valid as long as data is.
 func (c *Binary) Decode(data []byte) (Envelope, error) {
 	var env Envelope
+	err := c.DecodeInto(&env, data, "", "")
+	return env, err
+}
+
+// DecodeInto is Decode writing into env, which it overwrites whole (and
+// zeroes on error). from and to are name hints, typically the addresses
+// of the datagram that carried the frame: where the frame's sender or
+// recipient bytes equal a hint, the envelope takes the hint string and
+// the intern table is not consulted. A hint never changes what decodes:
+// a frame whose names differ from its datagram's still yields its own.
+func (c *Binary) DecodeInto(env *Envelope, data []byte, from, to string) error {
+	err := c.decodeFrame(env, data, from, to)
+	if err != nil {
+		*env = Envelope{}
+	}
+	return err
+}
+
+// decodeFrame is DecodeInto's parse; it writes env only on success.
+func (c *Binary) decodeFrame(env *Envelope, data []byte, from, to string) error {
 	if len(data) < 2 {
-		return env, errTruncated
+		return errTruncated
 	}
 	if data[0] != Version1 {
-		return env, fmt.Errorf("icewire: unsupported frame version 0x%02x", data[0])
+		return fmt.Errorf("icewire: unsupported frame version 0x%02x", data[0])
 	}
 	code := data[1]
 	if int(code) >= len(typeNames) || typeNames[code] == "" {
-		return env, fmt.Errorf("icewire: unknown message type code 0x%02x", code)
+		return fmt.Errorf("icewire: unknown message type code 0x%02x", code)
 	}
 	r := reader{data: data, off: 2}
-	var err error
-	if env.Seq, err = r.uvarint(); err != nil {
-		return Envelope{}, err
+	seq, err := r.uvarint()
+	if err != nil {
+		return err
 	}
 	at, err := r.uvarint()
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
-	env.At = sim.Time(at)
-	from, err := r.bytes()
+	fromB, err := r.bytes()
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
-	to, err := r.bytes()
+	toB, err := r.bytes()
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
 	body, err := r.bytes()
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
 	signingEnd := r.off
 	auth, err := r.bytes()
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
 	if r.rest() != 0 {
-		return Envelope{}, fmt.Errorf("icewire: %d trailing bytes after frame", r.rest())
+		return fmt.Errorf("icewire: %d trailing bytes after frame", r.rest())
 	}
-	if len(from) == 0 {
-		return Envelope{}, errors.New("core: envelope missing sender")
+	if len(fromB) == 0 {
+		return errors.New("core: envelope missing sender")
 	}
+	// Field by field, every field: a composite literal would be built
+	// aside and copied in.
 	env.Type = typeNames[code]
-	env.From = c.internString(from)
-	env.To = c.internString(to)
-	if len(body) > 0 {
-		env.Body = body
-	}
-	if len(auth) > 0 {
-		env.Auth = auth
-	}
+	env.From = c.hinted(fromB, from)
+	env.To = c.hinted(toB, to)
+	env.Seq = seq
+	env.At = sim.Time(at)
+	env.Body = nonEmpty(body)
+	env.Auth = nonEmpty(auth)
 	env.codec = c
 	env.signing = data[:signingEnd]
-	return env, nil
+	return nil
+}
+
+// nonEmpty maps an empty field to nil, as envelopes carry absent bodies
+// and tags.
+func nonEmpty(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
 }
 
 // DecodeBody decodes e's body into out, which must be a pointer to one

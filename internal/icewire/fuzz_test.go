@@ -3,6 +3,7 @@ package icewire
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -24,10 +25,19 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(frame)
 	f.Add([]byte{})
 	f.Add([]byte{Version1, 6, 1, 0, 1, 'a', 1, 'b', 0, 0})
+	// E9's forgery: a command framed as from the manager, which the
+	// attacker's datagram carries under its own address (see foreignFrom).
+	forged, err := c.AppendEnvelope(nil, MsgCommand, "ice-manager", "pump1", 100000, sim.Minute,
+		&Command{ID: 90000, Name: "set-basal", Args: map[string]float64{"rate": 50}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewBinary()
 		env, err := c.Decode(data)
+		checkDecodeInto(t, c, data, env, err)
 		if err != nil {
 			return // rejection is always fine; panicking is not
 		}
@@ -42,6 +52,50 @@ func FuzzDecodeBinary(f *testing.F) {
 			t.Fatalf("accepted frame is not canonical:\nin  %x\nout %x", data, re)
 		}
 	})
+}
+
+// foreignFrom is the address E9's attacker sends from while its frames
+// claim to come from the manager.
+const foreignFrom = "attacker"
+
+// checkDecodeInto asserts that DecodeInto's name hints change nothing:
+// for the frame's own names, one-byte mutations of them, empty hints and
+// a foreign sender, DecodeInto yields Decode's envelope field for field
+// (env, err) and Decode's error, and overwrites a stale envelope whole.
+func checkDecodeInto(t *testing.T, c *Binary, data []byte, env Envelope, err error) {
+	t.Helper()
+	hints := [][2]string{{"", ""}, {env.From, env.To}, {foreignFrom, env.To}}
+	for _, name := range []string{env.From, env.To} {
+		for _, m := range oneByteMutations(name) {
+			hints = append(hints, [2]string{m, m})
+		}
+	}
+	for _, h := range hints {
+		got := Envelope{Type: MsgBye, From: "stale", To: "stale", Seq: 9, At: 9,
+			Body: []byte{9}, Auth: []byte{9}, codec: NewBinary(), signing: []byte{9}}
+		gotErr := c.DecodeInto(&got, data, h[0], h[1])
+		if (gotErr == nil) != (err == nil) || (err != nil && gotErr.Error() != err.Error()) {
+			t.Fatalf("hints %q: DecodeInto error %v, Decode error %v", h, gotErr, err)
+		}
+		if !reflect.DeepEqual(got, env) {
+			t.Fatalf("hints %q: DecodeInto gave %+v, Decode %+v", h, got, env)
+		}
+	}
+}
+
+// oneByteMutations returns s with each of its first 16 bytes flipped in
+// turn, plus s one byte shorter and one byte longer.
+func oneByteMutations(s string) []string {
+	var out []string
+	for i := 0; i < len(s) && i < 16; i++ {
+		b := []byte(s)
+		b[i] ^= 1
+		out = append(out, string(b))
+	}
+	if s != "" {
+		out = append(out, s[:len(s)-1])
+	}
+	return append(out, s+"x")
 }
 
 // exerciseBodyDecoders runs the typed decoder matching the envelope's
