@@ -12,7 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// E11Options scale the mixed-criticality context study.
+// E11Options scale the mixed-criticality context study. A zero size
+// picks its default; a negative one is an error.
 type E11Options struct {
 	Seed     int64
 	Duration sim.Time // 0 = 8 h
@@ -79,6 +80,12 @@ func e11Run(opt E11Options, withContext bool) (alarm.Metrics, error) {
 // context event channel lets the monitoring system suppress exactly those
 // artifacts while still catching a genuine hemorrhage.
 func E11MixedCriticality(opt E11Options) (Table, error) {
+	switch {
+	case opt.BedMoves < 0:
+		return Table{}, fmt.Errorf("negative BedMoves %d", opt.BedMoves)
+	case opt.Duration < 0:
+		return Table{}, fmt.Errorf("negative Duration %v", opt.Duration.Duration())
+	}
 	if opt.Duration == 0 {
 		opt.Duration = 8 * sim.Hour
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/alarm"
@@ -12,7 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// E3Options scale the smart-alarm ward study.
+// E3Options scale the smart-alarm ward study. A zero size picks its
+// default; a negative one is an error.
 type E3Options struct {
 	Seed     int64
 	Patients int      // 0 = 6
@@ -79,8 +81,12 @@ func buildAlarmEngine(kind alarmEngineKind) *alarm.Engine {
 	return e
 }
 
-// e3Patient runs one patient-day and scores one engine kind.
-func e3Patient(opt E3Options, idx int, kind alarmEngineKind) (alarm.Metrics, error) {
+// e3Patient runs one patient-day with one engine per kind on the bus and
+// returns each engine's alarms with the desaturation truth they are
+// scored against. The engines only observe: they draw no random number
+// and schedule no event, so every kind sees the simulation it would see
+// alone.
+func e3Patient(opt E3Options, idx int, kinds []alarmEngineKind) ([][]alarm.Event, []alarm.Episode, error) {
 	k := sim.NewKernel()
 	rng := sim.NewRNG(opt.Seed + int64(idx)*1000)
 	net := mednet.MustNew(k, rng.Fork("net"), mednet.DefaultLink())
@@ -98,13 +104,23 @@ func e3Patient(opt E3Options, idx int, kind alarmEngineKind) (alarm.Metrics, err
 	tr := sim.NewTrace()
 	ward.Trace = tr
 
-	eng := buildAlarmEngine(kind)
-	mgr.Subscribe("ox1/spo2", func(_ string, dd core.Datum) { eng.Observe(k.Now(), "spo2", dd.Value, dd.Valid) })
-	mgr.Subscribe("mon1/map", func(_ string, dd core.Datum) { eng.Observe(k.Now(), "map", dd.Value, dd.Valid) })
-	mgr.Subscribe("mon1/hr", func(_ string, dd core.Datum) { eng.Observe(k.Now(), "hr", dd.Value, dd.Valid) })
-	mgr.Subscribe("mon1/rr", func(_ string, dd core.Datum) { eng.Observe(k.Now(), "rr", dd.Value, dd.Valid) })
-	mgr.Subscribe("cap1/etco2", func(_ string, dd core.Datum) { eng.Observe(k.Now(), "etco2", dd.Value, dd.Valid) })
-	mgr.Subscribe("bed1/height", func(_ string, dd core.Datum) { eng.ObserveContext(k.Now(), "bed-moved") })
+	engs := make([]*alarm.Engine, len(kinds))
+	for i, kind := range kinds {
+		engs[i] = buildAlarmEngine(kind)
+	}
+	for _, topic := range []string{"ox1/spo2", "mon1/map", "mon1/hr", "mon1/rr", "cap1/etco2"} {
+		_, signal, _ := strings.Cut(topic, "/")
+		mgr.Subscribe(topic, func(_ string, dd core.Datum) {
+			for _, eng := range engs {
+				eng.Observe(k.Now(), signal, dd.Value, dd.Valid)
+			}
+		})
+	}
+	mgr.Subscribe("bed1/height", func(string, core.Datum) {
+		for _, eng := range engs {
+			eng.ObserveContext(k.Now(), "bed-moved")
+		}
+	})
 
 	// Disturbance schedule, deterministic per patient:
 	//  - probe-misposition bias episodes (valid but false low SpO2);
@@ -128,19 +144,25 @@ func e3Patient(opt E3Options, idx int, kind alarmEngineKind) (alarm.Metrics, err
 	}
 
 	if err := k.Run(dur); err != nil {
-		return alarm.Metrics{}, fmt.Errorf("E3 patient %d: %w", idx, err)
+		return nil, nil, fmt.Errorf("E3 patient %d: %w", idx, err)
 	}
 
-	truth := alarm.EpisodesFromTrace(tr, "true/spo2", 90, 30*sim.Second)
-	// Only spo2-low alarms are scored against the desaturation truth;
-	// map/hr alarms with no corresponding derangement count as false.
-	events := eng.Events()
-	return alarm.Score(events, truth, 2*sim.Minute, dur), nil
+	alarms := make([][]alarm.Event, len(engs))
+	for i, eng := range engs {
+		alarms[i] = eng.Events()
+	}
+	return alarms, alarm.EpisodesFromTrace(tr, "true/spo2", 90, 30*sim.Second), nil
 }
 
 // E3SmartAlarms compares the three alarm-engine ablations across a small
 // ward of simulated patients.
 func E3SmartAlarms(opt E3Options) (Table, error) {
+	switch {
+	case opt.Patients < 0:
+		return Table{}, fmt.Errorf("negative Patients %d", opt.Patients)
+	case opt.Duration < 0:
+		return Table{}, fmt.Errorf("negative Duration %v", opt.Duration.Duration())
+	}
 	if opt.Patients == 0 {
 		opt.Patients = 6
 	}
@@ -154,19 +176,25 @@ func E3SmartAlarms(opt E3Options) (Table, error) {
 		Header: []string{"engine", "alarms", "true+", "false+", "missed",
 			"sensitivity", "precision", "false/patient-day"},
 	}
-	for _, kind := range []alarmEngineKind{engineThreshold, engineMultivariate, engineFull} {
-		var agg alarm.Metrics
-		for i := 0; i < opt.Patients; i++ {
-			m, err := e3Patient(opt, i, kind)
-			if err != nil {
-				return t, err
-			}
-			agg.TotalAlarms += m.TotalAlarms
-			agg.TruePositives += m.TruePositives
-			agg.FalsePositives += m.FalsePositives
-			agg.MissedEpisodes += m.MissedEpisodes
-			agg.TotalEpisodes += m.TotalEpisodes
+	kinds := []alarmEngineKind{engineThreshold, engineMultivariate, engineFull}
+	aggs := make([]alarm.Metrics, len(kinds))
+	for i := 0; i < opt.Patients; i++ {
+		alarms, truth, err := e3Patient(opt, i, kinds)
+		if err != nil {
+			return t, err
 		}
+		// Only spo2-low alarms are scored against the desaturation truth;
+		// map/hr alarms with no corresponding derangement count as false.
+		for j, events := range alarms {
+			m := alarm.Score(events, truth, 2*sim.Minute, opt.Duration)
+			aggs[j].TotalAlarms += m.TotalAlarms
+			aggs[j].TruePositives += m.TruePositives
+			aggs[j].FalsePositives += m.FalsePositives
+			aggs[j].MissedEpisodes += m.MissedEpisodes
+			aggs[j].TotalEpisodes += m.TotalEpisodes
+		}
+	}
+	for j, agg := range aggs {
 		sens := 1.0
 		if agg.TotalEpisodes > 0 {
 			sens = float64(agg.TotalEpisodes-agg.MissedEpisodes) / float64(agg.TotalEpisodes)
@@ -176,7 +204,7 @@ func E3SmartAlarms(opt E3Options) (Table, error) {
 			prec = float64(agg.TruePositives) / float64(agg.TotalAlarms)
 		}
 		perDay := float64(agg.FalsePositives) / (float64(opt.Patients) * opt.Duration.Seconds() / 86400)
-		t.AddRow(kind.String(), d(agg.TotalAlarms), d(agg.TruePositives),
+		t.AddRow(kinds[j].String(), d(agg.TotalAlarms), d(agg.TruePositives),
 			d(agg.FalsePositives), fmt.Sprintf("%d/%d", agg.MissedEpisodes, agg.TotalEpisodes),
 			f("%.2f", sens), f("%.2f", prec), f("%.1f", perDay))
 	}

@@ -10,7 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// E7Options scale the adaptive-threshold study.
+// E7Options scale the adaptive-threshold study. A zero size picks its
+// default; a negative one is an error.
 type E7Options struct {
 	Seed     int64
 	Athletes int      // 0 = 10
@@ -122,6 +123,14 @@ func e7Score(opt E7Options, personalized bool) (alarm.Metrics, error) {
 // personalized limits on a ward mixing athletes (resting HR ~45) with
 // average patients — the paper's own example of challenge (i).
 func E7AdaptiveThresholds(opt E7Options) (Table, error) {
+	switch {
+	case opt.Athletes < 0:
+		return Table{}, fmt.Errorf("negative Athletes %d", opt.Athletes)
+	case opt.Average < 0:
+		return Table{}, fmt.Errorf("negative Average %d", opt.Average)
+	case opt.Duration < 0:
+		return Table{}, fmt.Errorf("negative Duration %v", opt.Duration.Duration())
+	}
 	if opt.Athletes == 0 && opt.Average == 0 {
 		opt.Athletes, opt.Average = 10, 10
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -388,5 +389,59 @@ func TestE13HazardGrowsWithErrorRate(t *testing.T) {
 	}
 	if !grew {
 		t.Fatalf("no workflow showed hazard growth:\n%s", tab)
+	}
+}
+
+// E3 runs each patient-day once with all three engines on the bus. That
+// holds only while the engines merely observe, so each kind run alone
+// must raise exactly the alarms of its slot in the joint run, against
+// the same truth. In one hour, patient 0 (the genuine deterioration)
+// gets its bolus at 20 min; both patients get the probe bias at 40 min
+// and the bed moves at 25 and 27 min.
+func TestE3EnginesShareOneSimulation(t *testing.T) {
+	kinds := []alarmEngineKind{engineThreshold, engineMultivariate, engineFull}
+	for _, seed := range []int64{1, 7} {
+		opt := E3Options{Seed: seed, Duration: sim.Hour}
+		for idx := 0; idx < 2; idx++ {
+			joint, truth, err := e3Patient(opt, idx, kinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(joint[0]) == 0 {
+				t.Fatalf("seed %d patient %d: the threshold engine raised no alarm to compare", seed, idx)
+			}
+			for i, kind := range kinds {
+				alone, aloneTruth, err := e3Patient(opt, idx, kinds[i:i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(alone[0], joint[i]) || !reflect.DeepEqual(aloneTruth, truth) {
+					t.Errorf("seed %d patient %d: %v alone raised %v against %v; in the joint run %v against %v",
+						seed, idx, kind, alone[0], aloneTruth, joint[i], truth)
+				}
+			}
+		}
+	}
+}
+
+// A negative count or duration is an error that names the field; only
+// zero means "use the default".
+func TestNegativeSizesAreErrors(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		run   func() (Table, error)
+	}{
+		{"Patients", func() (Table, error) { return E3SmartAlarms(E3Options{Patients: -2, Duration: 30 * sim.Minute}) }},
+		{"Duration", func() (Table, error) { return E3SmartAlarms(E3Options{Duration: -sim.Hour}) }},
+		{"Athletes", func() (Table, error) { return E7AdaptiveThresholds(E7Options{Athletes: -1, Average: 2}) }},
+		{"Average", func() (Table, error) { return E7AdaptiveThresholds(E7Options{Athletes: 2, Average: -1}) }},
+		{"Duration", func() (Table, error) { return E7AdaptiveThresholds(E7Options{Duration: -sim.Hour}) }},
+		{"BedMoves", func() (Table, error) { return E11MixedCriticality(E11Options{BedMoves: -1}) }},
+		{"Duration", func() (Table, error) { return E11MixedCriticality(E11Options{Duration: -sim.Hour}) }},
+	} {
+		tab, err := c.run()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("negative %s: err = %v, want one naming %s; table:\n%s", c.field, err, c.field, tab)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package icemesh
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,21 +14,40 @@ import (
 
 // The acceptance criterion for the distribution layer: every icerun
 // table renders byte-identical whether its fleet cells run locally or
-// across a 2-node mesh. Fleet-backed experiments (F1, E6) actually fan
-// out; the rest exercise the fallback paths (hand-built specs and
-// non-fleet runners execute locally even with an engine installed) —
-// either way the bytes must not move. The third leg runs the mesh with
-// a streamed trace attached (live event subscriber + node span
-// forwarding live), pinning the telemetry plane as observation-only
-// across all 14 tables.
+// across a 2-node mesh. Only the tables that declare Dims.Engine can
+// ship a cell to the mesh; each of those renders locally, on the mesh,
+// and on the mesh with a streamed trace attached (live event subscriber
+// and node span forwarding), and its own subtest must move the
+// coordinator's cells-done counter. Every other table renders once with
+// the mesh installed: it must put no cell on the mesh and match its line
+// in the experiments package's tables.golden. A wrong declaration fails
+// here whichever way it is wrong.
 func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 14-table differential; skipped in -short")
 	}
 	coord, _ := startMesh(t, Config{}, 2, 2)
+	golden, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, id := range experiments.IDs() {
 		t.Run(id, func(t *testing.T) {
+			before := coord.met.cellsDone.Value()
+			if !experiments.Consumes(id).Engine {
+				mesh, err := experiments.Run(id, experiments.Options{Cells: 2, Workers: 2, Engine: coord})
+				if err != nil {
+					t.Fatalf("mesh: %v", err)
+				}
+				if n := coord.met.cellsDone.Value() - before; n > 0 {
+					t.Fatalf("table %s put %d cells on the mesh without declaring Dims.Engine", id, n)
+				}
+				if !strings.Contains(string(golden), mesh.String()) {
+					t.Fatalf("table %s with a mesh installed differs from tables.golden:\n%s", id, mesh.String())
+				}
+				return
+			}
 			local, err := experiments.Run(id, experiments.Options{Workers: 2})
 			if err != nil {
 				t.Fatalf("local: %v", err)
@@ -55,10 +76,10 @@ func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 				t.Fatalf("table %s differs with a streamed trace attached:\n--- local ---\n%s\n--- streamed mesh ---\n%s",
 					id, local.String(), streamed.String())
 			}
+			if coord.met.cellsDone.Value() == before {
+				t.Fatalf("table %s declares Dims.Engine but put no cell on the mesh", id)
+			}
 		})
-	}
-	if coord.met.cellsDone.Value() == 0 {
-		t.Fatal("mesh executed no cells; the differential compared local against local")
 	}
 }
 
