@@ -25,45 +25,35 @@ import (
 )
 
 // BenchmarkFleetPCAScaling runs a fixed fleet of independent PCA patient
-// rooms at increasing worker counts, with prototype cloning on (proto=1,
-// the default path) and off (proto=0, every cell constructed from
-// scratch). The cells/s metric is the headline: it should scale with
-// workers up to the core count, proto=0 is the baseline cloning is
-// weighed against, and the reduced clinical outcome stays bit-identical
-// across all of it (the determinism tests assert the bytes; the
-// benchmark reports the mean nadir as a tripwire).
+// rooms at increasing worker counts. The cells/s metric is the headline:
+// it should scale with workers up to the core count, and the reduced
+// clinical outcome stays bit-identical across all of it (the determinism
+// tests assert the bytes; the benchmark reports the mean nadir as a
+// tripwire).
 func BenchmarkFleetPCAScaling(b *testing.B) {
 	const cells = 8
-	for _, proto := range []bool{true, false} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			p := 0
-			if proto {
-				p = 1
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			spec, err := fleet.Build(fleet.ScenarioPCASupervised, fleet.Params{
+				Seed: 42, Cells: cells, Duration: 30 * sim.Minute,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("workers=%d/proto=%d", workers, p), func(b *testing.B) {
-				spec, err := fleet.Build(fleet.ScenarioPCASupervised, fleet.Params{
-					Seed: 42, Cells: cells, Duration: 30 * sim.Minute,
-				})
+			runner := fleet.Runner{Workers: workers}
+			var last []fleet.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := runner.Run(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				fleet.SetPrototypesForTest(proto)
-				defer fleet.SetPrototypesForTest(true)
-				runner := fleet.Runner{Workers: workers}
-				var last []fleet.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := runner.Run(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-				b.ReportMetric(fleet.Reduce(last).Mean(closedloop.MetricMinSpO2), "mean-minSpO2")
-			})
-		}
+				last = res
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			b.ReportMetric(fleet.Reduce(last).Mean(closedloop.MetricMinSpO2), "mean-minSpO2")
+		})
 	}
 }
 

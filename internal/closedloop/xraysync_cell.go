@@ -79,8 +79,7 @@ func (o XRaySyncOutcome) Metrics() map[string]float64 {
 	}
 }
 
-// XRaySyncScenario is the assembled Section II.b rig, built once and —
-// for prototype cloning — rewound per cell by Reset.
+// XRaySyncScenario is the assembled Section II.b rig.
 type XRaySyncScenario struct {
 	cfg XRaySyncScenarioConfig
 
@@ -94,18 +93,12 @@ type XRaySyncScenario struct {
 	Ward    *device.Ward
 	Sync    *XRaySync
 	Trace   *sim.Trace
-
-	rootRNG    *sim.RNG
-	netRNG     *sim.RNG
-	patientRNG *sim.RNG
-	ws0        core.CodecStats // zero after build; set per cell by Reset
 }
 
 // BuildXRaySyncScenario constructs (but does not run) the rig.
 // Construction order (and hence RNG fork order) is fixed:
 // experiments.E2 sweeps this rig, and its tables are bit-for-bit
-// regression fixtures. As with BuildPCAScenario, Reset replays this
-// sequence, so changes here must be mirrored there.
+// regression fixtures.
 func BuildXRaySyncScenario(cfg XRaySyncScenarioConfig) (*XRaySyncScenario, error) {
 	if cfg.Requests == 0 {
 		cfg.Requests = 24
@@ -116,14 +109,12 @@ func BuildXRaySyncScenario(cfg XRaySyncScenarioConfig) (*XRaySyncScenario, error
 
 	k := sim.NewKernel()
 	rng := sim.NewRNG(cfg.Seed)
-	netRNG := rng.Fork("net")
-	net := mednet.MustNew(k, netRNG, cfg.Link)
+	net := mednet.MustNew(k, rng.Fork("net"), cfg.Link)
 	wire := core.NewBinaryCodec()
 	mgrCfg := core.DefaultManagerConfig()
 	mgrCfg.Codec = wire
 	mgr := core.MustNewManager(k, net, mgrCfg)
-	patientRNG := rng.Fork("patient")
-	patient := physio.DefaultPatient(patientRNG)
+	patient := physio.DefaultPatient(rng.Fork("patient"))
 
 	vent := device.MustNewVentilator(k, net, cfg.Sync.VentilatorID, physio.DefaultBreathCycle(), patient, core.ConnectConfig{Codec: wire})
 	xray := device.MustNewXRay(k, net, cfg.Sync.XRayID, vent, core.ConnectConfig{Codec: wire})
@@ -147,41 +138,10 @@ func BuildXRaySyncScenario(cfg XRaySyncScenarioConfig) (*XRaySyncScenario, error
 	return &XRaySyncScenario{
 		cfg: cfg, K: k, Net: net, Mgr: mgr, Wire: wire, Patient: patient,
 		Vent: vent, XRay: xray, Ward: ward, Sync: sync, Trace: tr,
-		rootRNG: rng, netRNG: netRNG, patientRNG: patientRNG,
 	}, nil
 }
 
-// Reset rewinds the rig to the just-built state for a new cell seeded
-// with seed, recording into trace (nil keeps the current trace, which
-// the caller must have Reset). The replay mirrors BuildXRaySyncScenario
-// exactly — same fork order, same scheduling order — so sequence
-// numbers and outputs match a fresh build.
-func (sc *XRaySyncScenario) Reset(seed int64, trace *sim.Trace) {
-	sc.K.Reset()
-	sc.rootRNG.Reseed(seed)
-	sc.netRNG.Reseed(sc.rootRNG.ForkSeed("net"))
-	sc.Net.Reset()
-	sc.ws0 = sc.Wire.Stats() // before re-announce traffic: deltas span exactly one cell
-	sc.Mgr.Reset()           // sweeper: first scheduled event, as at build
-	sc.patientRNG.Reseed(sc.rootRNG.ForkSeed("patient"))
-	sc.Patient.Reset()
-	sc.Vent.Reset() // re-announce + telemetry, in NewVentilator order
-	sc.XRay.Reset()
-	if trace != nil {
-		sc.Trace = trace
-		sc.Ward.Trace = trace
-	}
-	sc.Ward.Reset()
-	sc.Sync.Reset()
-	for i := 0; i < sc.cfg.Requests; i++ {
-		at := 10*sim.Second + sim.Time(i)*sc.cfg.Spacing
-		sc.K.AtFunc(at, runRequestImage, sc.Sync)
-	}
-}
-
-// run executes the session to its horizon and scores it. Wire stats are
-// reported relative to the last Reset baseline; after a fresh build the
-// baseline is zero, so the from-scratch view is unchanged.
+// run executes the session to its horizon and scores it.
 func (sc *XRaySyncScenario) run() (XRaySyncOutcome, error) {
 	horizon := 10*sim.Second + sim.Time(sc.cfg.Requests+6)*sc.cfg.Spacing
 	if err := sc.K.Run(horizon); err != nil {
@@ -194,8 +154,8 @@ func (sc *XRaySyncScenario) run() (XRaySyncOutcome, error) {
 		ResumeFailures: sc.Sync.ResumeFailures,
 		MinSpO2:        sc.Trace.Stats("true/spo2").Min,
 		KernelEvents:   sc.K.Executed(),
-		WireBytes:      ws.Bytes - sc.ws0.Bytes,
-		WireEncodeNS:   ws.EncodeNS - sc.ws0.EncodeNS,
+		WireBytes:      ws.Bytes,
+		WireEncodeNS:   ws.EncodeNS,
 	}
 	// Unventilated time: integrate the recorded mechanical-support series.
 	ev := sc.Trace.Series("true/extvent")
@@ -208,43 +168,13 @@ func (sc *XRaySyncScenario) run() (XRaySyncOutcome, error) {
 }
 
 // RunXRaySyncScenario builds the rig from cfg, runs the imaging session
-// to its horizon, and scores it — the from-scratch path, unchanged in
-// behavior from when it built inline.
+// to its horizon, and scores it.
 func RunXRaySyncScenario(cfg XRaySyncScenarioConfig) (XRaySyncOutcome, error) {
 	sc, err := BuildXRaySyncScenario(cfg)
 	if err != nil {
 		return XRaySyncOutcome{}, err
 	}
 	return sc.run()
-}
-
-// XRaySyncCellRig is the prototype behind fleet cloning for imaging
-// cells: one built rig, stamped per cell by Reset.
-type XRaySyncCellRig struct {
-	sc *XRaySyncScenario
-}
-
-// NewXRaySyncCellRig builds the prototype once from cfg, or returns nil
-// when the config cannot build (callers fall back to from-scratch
-// construction, which reports the error per cell).
-func NewXRaySyncCellRig(cfg XRaySyncScenarioConfig) *XRaySyncCellRig {
-	cfg.Trace = nil // per-cell traces arrive through RunCell
-	sc, err := BuildXRaySyncScenario(cfg)
-	if err != nil {
-		return nil
-	}
-	return &XRaySyncCellRig{sc: sc}
-}
-
-// RunCell stamps one cell from the prototype — byte-identical metrics
-// to RunXRaySyncCell on the same config and seed.
-func (r *XRaySyncCellRig) RunCell(seed int64, trace *sim.Trace) (map[string]float64, error) {
-	r.sc.Reset(seed, trace)
-	out, err := r.sc.run()
-	if err != nil {
-		return nil, err
-	}
-	return out.Metrics(), nil
 }
 
 // RunXRaySyncCell is RunXRaySyncScenario in fleet-cell shape: a plain

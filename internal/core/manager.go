@@ -241,31 +241,6 @@ func MustNewManager(k *sim.Kernel, net *mednet.Network, cfg ManagerConfig) *Mana
 // Addr returns the manager's network address.
 func (m *Manager) Addr() string { return m.cfg.Addr }
 
-// Reset returns the manager to its just-constructed state for a
-// prototype clone: the device registry, in-flight commands, sequence
-// counters, and audit counters clear, and the liveness sweeper re-arms
-// on the freshly reset kernel — NewManager's one scheduling call,
-// replayed in the same position so the clone's event sequence matches a
-// from-scratch build. Subscriptions, watchers, the codec, command-slot
-// pool, and the network registration are construction-time wiring and
-// are retained. Callers must Reset the kernel first.
-func (m *Manager) Reset() {
-	clear(m.devices)
-	clear(m.admitted)
-	m.admitted = m.admitted[:0]
-	for _, p := range m.pending {
-		*p = pendingCmd{}
-		m.cmdPool = append(m.cmdPool, p)
-	}
-	clear(m.pending)
-	m.seq = 0
-	m.cmdSeq = 0
-	m.AuthRejected = 0
-	m.ReplayRejected = 0
-	m.Malformed = 0
-	m.sweeper.Reset()
-}
-
 // Close detaches the manager from the network and stops sweeps.
 func (m *Manager) Close() {
 	m.sweeper.Stop()

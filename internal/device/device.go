@@ -68,12 +68,6 @@ func (w *Ward) AttachVentSupport(v VentSupport) { w.vent = append(w.vent, v) }
 // Stop halts physiology stepping.
 func (w *Ward) Stop() { w.tick.Stop() }
 
-// Reset re-arms the stepping ticker for a prototype clone. Attached
-// sources and the interned series handles are retained; the handles
-// re-intern lazily if the rig swaps in a different pooled Trace. The
-// patient itself is reset by the rig, which owns its RNG.
-func (w *Ward) Reset() { w.tick.Reset() }
-
 func (w *Ward) step(now sim.Time, dt sim.Time) {
 	rate := 0.0
 	for _, s := range w.drug {

@@ -26,7 +26,6 @@ type Oximeter struct {
 	synth   *sigproc.Synth
 	est     *sigproc.Estimator
 	win     []sigproc.PlethSample // one analysis window, reused
-	tick    *sim.Ticker
 
 	// Counters for experiments.
 	Estimates        uint64
@@ -64,7 +63,7 @@ func NewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *physio.
 	}
 	o.win = make([]sigproc.PlethSample, o.est.WindowSamples())
 	window := o.est.ProcessingDelay()
-	o.tick = k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
+	k.Every(window.Duration(), func(now sim.Time) { o.processWindow(now, window) })
 	return o, nil
 }
 
@@ -79,20 +78,6 @@ func MustNewOximeter(k *sim.Kernel, net *mednet.Network, id string, patient *phy
 
 // Conn exposes the ICE connection.
 func (o *Oximeter) Conn() *core.DeviceConn { return o.conn }
-
-// Reset returns the oximeter to its just-connected state for a
-// prototype clone: the ICE connection re-announces, the synthesizer and
-// estimator clear, counters zero, and the window ticker re-arms —
-// NewOximeter's scheduling order, replayed. The probe RNG is owned and
-// reseeded by the rig.
-func (o *Oximeter) Reset() {
-	o.conn.Reset()
-	o.synth.Reset()
-	o.est.Reset()
-	o.Estimates = 0
-	o.InvalidEstimates = 0
-	o.tick.Reset()
-}
 
 // InjectMotion corrupts the probe signal with motion artifact for d.
 func (o *Oximeter) InjectMotion(d sim.Time, gain float64) {

@@ -92,9 +92,7 @@ type Pump struct {
 	conn     *core.DeviceConn
 	k        *sim.Kernel
 	settings PumpSettings
-	orig     PumpSettings // as programmed at construction, restored on Reset
 	state    PumpState
-	tick     *sim.Ticker
 
 	lastBolusAt sim.Time
 	everBolused bool
@@ -137,7 +135,7 @@ func NewPump(k *sim.Kernel, net *mednet.Network, id string, s PumpSettings, cfg 
 	if err != nil {
 		return nil, err
 	}
-	p := &Pump{conn: conn, k: k, settings: s, orig: s, state: PumpRunning}
+	p := &Pump{conn: conn, k: k, settings: s, state: PumpRunning}
 	conn.Handle("stop", func(map[string]float64) error {
 		p.Stop()
 		return nil
@@ -154,33 +152,12 @@ func NewPump(k *sim.Kernel, net *mednet.Network, id string, s PumpSettings, cfg 
 		p.settings.BasalRateMgPerHour = rate
 		return nil
 	})
-	p.tick = k.Every(time.Second, func(now sim.Time) {
+	k.Every(time.Second, func(now sim.Time) {
 		if conn.Connected() {
 			conn.Publish("infusion-rate", p.CurrentRateMgPerMin(), true, 1, now)
 		}
 	})
 	return p, nil
-}
-
-// Reset returns the pump to its freshly programmed state for a
-// prototype clone: the construction-time settings are restored (a
-// set-basal command may have reprogrammed the rate), delivery state and
-// counters clear, and the ICE connection re-announces then telemetry
-// re-arms — NewPump's scheduling order, replayed. Kernel and network
-// must be reset first.
-func (p *Pump) Reset() {
-	p.settings = p.orig
-	p.state = PumpRunning
-	p.lastBolusAt = 0
-	p.everBolused = false
-	p.window = p.window[:0]
-	p.bolusEnd = 0
-	p.bolusRate = 0
-	p.BolusesDelivered = 0
-	p.BolusesDenied = 0
-	p.StopsReceived = 0
-	p.conn.Reset()
-	p.tick.Reset()
 }
 
 // MustNewPump is NewPump for known-good settings.

@@ -73,18 +73,6 @@ func MustNewXRay(k *sim.Kernel, net *mednet.Network, id string, vent *Ventilator
 // Conn exposes the ICE connection.
 func (x *XRay) Conn() *core.DeviceConn { return x.conn }
 
-// Reset returns the machine to its just-connected state for a prototype
-// clone: idle, counters cleared, ICE connection re-announced. NewXRay
-// schedules nothing beyond Connect, so no ticker re-arms here. Kernel
-// and network must be reset first.
-func (x *XRay) Reset() {
-	x.exposing = false
-	x.Sharp = 0
-	x.Blurred = 0
-	x.Refused = 0
-	x.conn.Reset()
-}
-
 // Shoot begins an exposure of the given duration. The image sharpness is
 // evaluated against the true chest motion over the exposure interval and
 // published as an image event when the exposure completes.

@@ -40,7 +40,7 @@ type Options struct {
 type Dims struct {
 	Engine bool // ships fleet cells through Options.Engine
 	Trace  bool // opens spans under Options.Trace
-	Fleet  bool // runs cells on fleet.Runner, which feeds Options.Obs and clones prototypes
+	Fleet  bool // runs cells on fleet.Runner, which feeds Options.Obs
 }
 
 func (o Options) withDefaults() Options {

@@ -25,10 +25,12 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
 // dimension it does not declare in its Dims: it runs with an Engine that
 // fails the test, under an active span that must gain no child, and with
 // fresh fleet histograms that must stay empty (no fleet cell ran, so
-// prototype cloning cannot reach the table). Tables that declare Trace
-// or Fleet then render again traced, and must match byte for byte and
-// show the spans and cell observations they declared: spans and metrics
-// ride alongside the simulation, never inside it.
+// Options.Obs cannot reach the table). Tables that declare Trace or
+// Fleet then render again traced, and must match byte for byte and show
+// the spans and cell observations they declared: spans and metrics ride
+// alongside the simulation, never inside it. The engine-free tables are
+// covered here only: icemesh's mesh differential renders just the
+// tables that declare Engine.
 func TestDifferentialTracing(t *testing.T) {
 	plain := Options{Seed: 1, Cells: 2, Workers: 2}
 

@@ -86,99 +86,57 @@ func pcaConfig(seed int64, d sim.Time) closedloop.PCAScenarioConfig {
 	return cfg
 }
 
-// pcaProto and xrayProto adapt the closedloop cell rigs to the fleet
-// Proto seam. Clone hands the rig the cell's seed and pooled trace; the
-// rig's Reset-replay contract guarantees byte identity with the
-// factory's from-scratch Run.
-type pcaProto struct{ rig *closedloop.PCACellRig }
-
-func (p pcaProto) Clone(c Cell) (Metrics, error) { return p.rig.RunCell(c.Seed, c.Trace()) }
-
-type xrayProto struct{ rig *closedloop.XRaySyncCellRig }
-
-func (p xrayProto) Clone(c Cell) (Metrics, error) { return p.rig.RunCell(c.Seed, c.Trace()) }
-
-// pcaNewProto builds the prototype hook shared by the PCA factories:
-// the rig is constructed from the spec's template config (the build
-// seed is irrelevant — Clone reseeds every stream), declining to nil
-// when the config cannot be cloned.
-func pcaNewProto(cfgFor func(seed int64) closedloop.PCAScenarioConfig) func() Proto {
-	return func() Proto {
-		rig := closedloop.NewPCACellRig(cfgFor(0))
-		if rig == nil {
-			return nil
-		}
-		return pcaProto{rig}
-	}
-}
-
 func pcaFactory(supervised bool) Factory {
 	name := ScenarioPCAUnsupervised
 	if supervised {
 		name = ScenarioPCASupervised
 	}
 	return func(p Params) Spec {
-		cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
-			cfg := pcaConfig(seed, p.Duration)
-			cfg.SupervisorEnabled = supervised
-			return cfg
-		}
 		return Spec{
 			Name:   name,
 			Seed:   p.Seed,
 			Cells:  p.Cells,
 			SeedFn: EnsembleSeeds(p.Seed, name+"/trial"),
 			Run: func(c Cell) (Metrics, error) {
-				cfg := cfgFor(c.Seed)
+				cfg := pcaConfig(c.Seed, p.Duration)
+				cfg.SupervisorEnabled = supervised
 				cfg.Trace = c.Trace()
 				return closedloop.RunPCACell(cfg)
 			},
-			NewProto: pcaNewProto(cfgFor),
 		}
 	}
 }
 
 func xraySyncFactory(p Params) Spec {
-	cfgFor := func(seed int64) closedloop.XRaySyncScenarioConfig {
-		proto := closedloop.SyncProtocol(int(p.Knob("protocol", float64(closedloop.ProtocolStateSync))))
-		cfg := closedloop.DefaultXRaySyncScenario(seed, proto)
-		// The session's length is its request schedule: a requested
-		// duration converts to one image request per spacing interval,
-		// so Duration is honored rather than silently dropped.
-		if p.Duration > 0 {
-			if n := int(p.Duration / cfg.Spacing); n > 0 {
-				cfg.Requests = n
-			} else {
-				cfg.Requests = 1
-			}
-		}
-		if n := int(p.Knob("requests", 0)); n > 0 {
-			cfg.Requests = n
-		}
-		delay := time.Duration(p.Knob("delay_ms", 10) * float64(time.Millisecond))
-		cfg.Link = mednet.LinkParams{
-			Latency:  delay,
-			Jitter:   delay / 4,
-			LossProb: p.Knob("loss", 0.02),
-		}
-		return cfg
-	}
 	return Spec{
 		Name:   ScenarioXRayVentSync,
 		Seed:   p.Seed,
 		Cells:  p.Cells,
 		SeedFn: EnsembleSeeds(p.Seed, ScenarioXRayVentSync+"/trial"),
 		Run: func(c Cell) (Metrics, error) {
-			cfg := cfgFor(c.Seed)
+			proto := closedloop.SyncProtocol(int(p.Knob("protocol", float64(closedloop.ProtocolStateSync))))
+			cfg := closedloop.DefaultXRaySyncScenario(c.Seed, proto)
+			// The session's length is its request schedule: a requested
+			// duration converts to one image request per spacing interval,
+			// so Duration is honored rather than silently dropped.
+			if p.Duration > 0 {
+				if n := int(p.Duration / cfg.Spacing); n > 0 {
+					cfg.Requests = n
+				} else {
+					cfg.Requests = 1
+				}
+			}
+			if n := int(p.Knob("requests", 0)); n > 0 {
+				cfg.Requests = n
+			}
+			delay := time.Duration(p.Knob("delay_ms", 10) * float64(time.Millisecond))
+			cfg.Link = mednet.LinkParams{
+				Latency:  delay,
+				Jitter:   delay / 4,
+				LossProb: p.Knob("loss", 0.02),
+			}
 			cfg.Trace = c.Trace()
 			return closedloop.RunXRaySyncCell(cfg)
-		},
-		NewProto: func() Proto {
-			rig := closedloop.NewXRaySyncCellRig(cfgFor(0))
-			if rig == nil {
-				return nil
-			}
-			return xrayProto{rig}
 		},
 	}
 }
@@ -197,33 +155,9 @@ func probeWait(seed int64, p Params) time.Duration {
 	return time.Duration(rtt * (1 + jit*(2*u-1)) * float64(time.Millisecond))
 }
 
-// probeProto paces the cloned cell exactly as the from-scratch Run
-// does; the wait happens after the metrics are computed, so the clone
-// contract (byte identity with Run) is untouched.
-type probeProto struct {
-	rig  *closedloop.PCACellRig
-	pace func(seed int64)
-}
-
-func (p probeProto) Clone(c Cell) (Metrics, error) {
-	m, err := p.rig.RunCell(c.Seed, c.Trace())
-	p.pace(c.Seed)
-	return m, err
-}
-
 func teleProbeFactory(p Params) Spec {
 	if p.Duration <= 0 {
 		p.Duration = 2 * sim.Minute // short session: the RTT dominates, by design
-	}
-	cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
-		cfg := pcaConfig(seed, p.Duration)
-		cfg.SupervisorEnabled = true
-		return cfg
-	}
-	pace := func(seed int64) {
-		if d := probeWait(seed, p); d > 0 {
-			time.Sleep(d)
-		}
 	}
 	return Spec{
 		Name:   ScenarioTeleICUProbe,
@@ -231,35 +165,20 @@ func teleProbeFactory(p Params) Spec {
 		Cells:  p.Cells,
 		SeedFn: EnsembleSeeds(p.Seed, ScenarioTeleICUProbe+"/trial"),
 		Run: func(c Cell) (Metrics, error) {
-			cfg := cfgFor(c.Seed)
+			cfg := pcaConfig(c.Seed, p.Duration)
+			cfg.SupervisorEnabled = true
 			cfg.Trace = c.Trace()
 			m, err := closedloop.RunPCACell(cfg)
-			pace(c.Seed)
-			return m, err
-		},
-		NewProto: func() Proto {
-			rig := closedloop.NewPCACellRig(cfgFor(0))
-			if rig == nil {
-				return nil
+			// The wait follows the metrics, so pacing never touches them.
+			if d := probeWait(c.Seed, p); d > 0 {
+				time.Sleep(d)
 			}
-			return probeProto{rig, pace}
+			return m, err
 		},
 	}
 }
 
 func commFaultFactory(p Params) Spec {
-	cfgFor := func(seed int64) closedloop.PCAScenarioConfig {
-		cfg := pcaConfig(seed, p.Duration)
-		cfg.Link = mednet.LinkParams{
-			Latency:  5 * time.Millisecond,
-			Jitter:   2 * time.Millisecond,
-			LossProb: p.Knob("loss", 0),
-		}
-		cfg.Supervisor.FailSafe = p.Knob("failsafe", 1) != 0
-		cfg.OximeterOutageStart = cfg.Duration / 4
-		cfg.OximeterOutageEnd = cfg.Duration/4 + 35*sim.Minute
-		return cfg
-	}
 	return Spec{
 		Name:  ScenarioPCACommFault,
 		Seed:  p.Seed,
@@ -268,10 +187,17 @@ func commFaultFactory(p Params) Spec {
 		// seed so sweeps stay paired across knob settings.
 		SeedFn: func(int) int64 { return p.Seed },
 		Run: func(c Cell) (Metrics, error) {
-			cfg := cfgFor(c.Seed)
+			cfg := pcaConfig(c.Seed, p.Duration)
+			cfg.Link = mednet.LinkParams{
+				Latency:  5 * time.Millisecond,
+				Jitter:   2 * time.Millisecond,
+				LossProb: p.Knob("loss", 0),
+			}
+			cfg.Supervisor.FailSafe = p.Knob("failsafe", 1) != 0
+			cfg.OximeterOutageStart = cfg.Duration / 4
+			cfg.OximeterOutageEnd = cfg.Duration/4 + 35*sim.Minute
 			cfg.Trace = c.Trace()
 			return closedloop.RunPCACell(cfg)
 		},
-		NewProto: pcaNewProto(cfgFor),
 	}
 }

@@ -22,24 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/closedloop"
 	"repro/internal/icescope"
 	"repro/internal/sim"
 )
-
-// prototypesDisabled globally gates prototype cloning. Tests flip it to
-// run cells built from scratch — including whole experiment catalogs,
-// whose runners the caller cannot reach — and hold the outputs
-// byte-identical to cloned cells; the fleet benchmark flips it for its
-// from-scratch baseline.
-var prototypesDisabled atomic.Bool
-
-// SetPrototypesForTest globally enables or disables prototype cloning.
-// Tests only; not safe to flip while a fleet is running.
-func SetPrototypesForTest(enabled bool) { prototypesDisabled.Store(!enabled) }
 
 // Metrics is the named numeric outcome of one cell. Cell bodies outside
 // this package return plain map[string]float64 (assignable to Metrics) so
@@ -95,12 +83,6 @@ func (c Cell) Trace() *sim.Trace {
 // cells and cannot perturb determinism.
 type Scratch struct {
 	tr *sim.Trace
-
-	// protos caches one constructed prototype rig per spec (keyed by the
-	// spec's position in the worker's job set). A rig is built on the
-	// worker's first cell of a spec and stamps every later cell by
-	// Clone — construction cost is paid once per worker, not per cell.
-	protos map[int]Proto
 }
 
 func (s *Scratch) trace() *sim.Trace {
@@ -122,23 +104,6 @@ func (s *Scratch) reset() {
 // not share mutable state with other cells.
 type CellFunc func(c Cell) (Metrics, error)
 
-// Proto is a reusable cell prototype: one fully constructed scenario rig
-// that stamps out cells by resetting its kernel and reseeding its RNG
-// substreams instead of rebuilding patient, devices, network, and
-// manager from scratch. A Proto belongs to one worker goroutine (it
-// lives in that worker's Scratch), so it needs no locking.
-//
-// The contract is byte identity: Clone(c) must return exactly the
-// metrics Spec.Run(c) would, for any cell, in any order — the
-// differential suite holds every opted-in scenario to it. Factories
-// meet the bar by replaying their construction-time scheduling calls in
-// the original order after sim.Kernel.Reset, which reproduces the
-// original event sequence numbers and therefore the original execution
-// order (see DESIGN.md "Prototype cloning").
-type Proto interface {
-	Clone(c Cell) (Metrics, error)
-}
-
 // Spec describes one ensemble: how many cells, how they are seeded, and
 // how each is built and run.
 type Spec struct {
@@ -153,13 +118,6 @@ type Spec struct {
 	SeedFn func(index int) int64
 
 	Run CellFunc
-
-	// NewProto, when non-nil, builds a reusable prototype rig for this
-	// spec. The runner calls it at most once per worker and routes every
-	// cell through Proto.Clone; a nil NewProto falls back to from-scratch
-	// construction via Run, so the registry contract is unchanged for
-	// factories that have not opted in.
-	NewProto func() Proto
 
 	// scenario/params, when set, record how Build produced this spec —
 	// the provenance a distributed engine needs to rebuild the identical
@@ -221,11 +179,11 @@ type Runner struct {
 	Engine Engine
 
 	// Span, when active, parents the run's trace: each worker records
-	// per-cell spans into its own lock-free buffer, prototype builds get
-	// their own spans, and engine-shipped specs propagate the span over
-	// the context so a distributed coordinator can attach its shard
-	// spans to the same tree. The zero Span disables tracing entirely —
-	// observability never touches cell seeds, scheduling, or results.
+	// per-cell spans into its own lock-free buffer, and engine-shipped
+	// specs propagate the span over the context so a distributed
+	// coordinator can attach its shard spans to the same tree. The zero
+	// Span disables tracing entirely — observability never touches cell
+	// seeds, scheduling, or results.
 	Span icescope.Span
 
 	// Obs, when non-nil, feeds the fleet's latency histograms.
@@ -351,7 +309,7 @@ func (r Runner) RunAllContext(ctx context.Context, specs []Spec, onCell func(Res
 			buf := r.Span.Trace().Buffer()
 			for j := range jobs {
 				r.observeWait(j.enq)
-				res := r.runCell(specs[j.si], j.si, j.ci, scratch, buf)
+				res := r.runCell(specs[j.si], j.ci, scratch, buf)
 				out[j.si][j.ci] = res
 				if onCell != nil {
 					deliverMu.Lock()
@@ -412,23 +370,17 @@ dispatch:
 	return out, errors.Join(errs...)
 }
 
-// runCell executes one cell, converting a panic in the model (the sim
-// kernel panics on causality violations) into a per-cell error so one bad
-// room cannot take down the fleet. The scratch pointer is stripped from
-// the stored Result so pooled buffers never escape the worker. si keys
-// the worker's prototype cache: cells of the same spec on the same
-// worker share one rig. A panic also evicts the spec's prototype — a
-// rig that blew up mid-run holds undefined state and must not stamp the
-// next cell.
-func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
+// runCell builds and runs one cell through its spec's Run, converting a
+// panic in the model (the sim kernel panics on causality violations)
+// into a per-cell error so one bad room cannot take down the fleet. The
+// scratch pointer is stripped from the stored Result so pooled buffers
+// never escape the worker.
+func (r Runner) runCell(s Spec, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
 	seed := s.seedFor(i)
 	res.Cell = Cell{Index: i, Seed: seed}
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("cell panicked: %v", p)
-			if scratch != nil {
-				delete(scratch.protos, si)
-			}
 		}
 	}()
 	if scratch != nil {
@@ -438,22 +390,9 @@ func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffe
 	if r.Obs != nil && r.Obs.CellSeconds != nil {
 		t0 = time.Now()
 	}
-	cell := Cell{Index: i, Seed: seed, scratch: scratch}
-	var m Metrics
-	var err error
-	// Resolve the prototype before opening the cell span: "proto build"
-	// and "cell run" are sibling leaves, so trace coverage attributes
-	// construction and execution separately.
-	proto := r.protoFor(s, si, scratch, buf, r.Span)
-	mode := "scratch"
 	sp := buf.Start(r.Span, "cell run")
-	if proto != nil {
-		mode = "proto"
-		m, err = proto.Clone(cell)
-	} else {
-		m, err = s.Run(cell)
-	}
-	sp.End(icescope.IntAttr("cell", i), icescope.StrAttr("mode", mode))
+	m, err := s.Run(Cell{Index: i, Seed: seed, scratch: scratch})
+	sp.End(icescope.IntAttr("cell", i))
 	if !t0.IsZero() {
 		r.Obs.CellSeconds.Observe(time.Since(t0).Seconds())
 	}
@@ -471,26 +410,4 @@ func (r Runner) runCell(s Spec, si, i int, scratch *Scratch, buf *icescope.Buffe
 	}
 	res.Metrics, res.Err = m, err
 	return res
-}
-
-// protoFor resolves the worker's cached prototype for spec si, building
-// it on first use. Returns nil — meaning "construct from scratch" —
-// when the spec offers no prototype, cloning is disabled, or the
-// factory declined at build time (a nil Proto is cached so the
-// factory is not re-asked per cell).
-func (r Runner) protoFor(s Spec, si int, scratch *Scratch, buf *icescope.Buffer, parent icescope.Span) Proto {
-	if s.NewProto == nil || scratch == nil || prototypesDisabled.Load() {
-		return nil
-	}
-	p, ok := scratch.protos[si]
-	if !ok {
-		bsp := buf.Start(parent, "proto build")
-		p = s.NewProto()
-		bsp.End(icescope.StrAttr("spec", s.Name))
-		if scratch.protos == nil {
-			scratch.protos = make(map[int]Proto)
-		}
-		scratch.protos[si] = p
-	}
-	return p
 }

@@ -126,3 +126,43 @@ func TestSummaryResetDropsStaleMetrics(t *testing.T) {
 		t.Fatal("Values for a stale metric must be nil (absent)")
 	}
 }
+
+// TestAllocsCellFromScratch pins the steady-state allocation cost of one
+// cell built from scratch and run on a warm worker Scratch: the rig's
+// kernel, network, manager, devices, patient and supervisor, plus the
+// returned metrics map. Measured on go1.24: 186–187 for a 30-min
+// pca-supervised cell, 292 for an xray-ventsync cell. The budgets leave
+// ~1.5× headroom for runtime-version noise; a per-sample or per-event
+// allocation on the cell path costs thousands and fails loudly.
+func TestAllocsCellFromScratch(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("allocation gates are meaningless under -race")
+	}
+	for _, tc := range []struct {
+		name   string
+		p      Params
+		budget float64
+	}{
+		{ScenarioPCASupervised, Params{Seed: 42, Cells: 1, Duration: 30 * sim.Minute}, 280},
+		{ScenarioXRayVentSync, Params{Seed: 42, Cells: 1}, 440},
+	} {
+		spec, err := Build(tc.name, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := &Scratch{}
+		run := func(i int) {
+			if res := (Runner{}).runCell(spec, i, scratch, nil); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		run(0) // warm: the first cell grows the pooled trace buffers
+		run(1)
+		i := 2
+		got := testing.AllocsPerRun(5, func() { run(i); i++ })
+		t.Logf("%s: %.0f allocs per cell", tc.name, got)
+		if got > tc.budget {
+			t.Errorf("%s: per-cell allocations = %.0f, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}

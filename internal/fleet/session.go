@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/icescope"
 )
 
-// Session pins one built spec to a persistent worker pool, alive across
-// RunRange calls: each worker goroutine owns one Scratch for the
-// session's lifetime, so the spec's prototype is constructed once per
-// worker and every later range stamps cells by Clone. That is the seam
-// a distributed node needs for fine-grained shards: at shard size 1 the
-// per-call fixed cost must be a function call, not a scenario build.
+// Session pins one built spec to a worker pool that stays alive across
+// RunRange calls. A distributed node keeps one per job: the spec is
+// built once per (job, node) rather than once per shard, every cell
+// runs through the spec's Run, and each worker goroutine keeps one
+// Scratch for the session's lifetime.
 //
 // Concurrent RunRange calls are safe and share the pool — cells from
 // overlapping calls interleave across the same workers, bounding total
@@ -29,7 +29,6 @@ type Session struct {
 
 	mu     sync.Mutex
 	closed bool
-	active int // RunRange calls in flight (idle tracking for cache evictors)
 }
 
 // sessionCell is one cell dispatched to the session pool; exec runs it
@@ -37,6 +36,7 @@ type Session struct {
 type sessionCell struct {
 	ci   int
 	exec func(ci int, scratch *Scratch, buf *icescope.Buffer)
+	enq  time.Time // dispatch stamp; zero unless queue wait is observed
 }
 
 // NewSession validates the spec and starts the runner's worker pool
@@ -56,9 +56,10 @@ func (r Runner) NewSession(spec Spec) (*Session, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			scratch := &Scratch{} // lives as long as the session: prototypes persist
+			scratch := &Scratch{} // lives as long as the session
 			buf := r.Span.Trace().Buffer()
 			for j := range s.jobs {
+				r.observeWait(j.enq)
 				j.exec(j.ci, scratch, buf)
 			}
 		}()
@@ -68,14 +69,6 @@ func (r Runner) NewSession(spec Spec) (*Session, error) {
 
 // Spec returns the spec this session executes.
 func (s *Session) Spec() Spec { return s.spec }
-
-// Idle reports whether no RunRange call is in flight — the safe-to-Close
-// signal for session caches.
-func (s *Session) Idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active == 0
-}
 
 // RunRange executes the contiguous cell range [start, end) of the
 // session's spec — the node-side primitive distributed engines are built
@@ -90,17 +83,11 @@ func (s *Session) RunRange(ctx context.Context, start, end int, onCell func(Resu
 		return nil, fmt.Errorf("fleet: range [%d,%d) outside spec %q (%d cells)", start, end, s.spec.Name, s.spec.Cells)
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
 		return nil, fmt.Errorf("fleet: session for %q is closed", s.spec.Name)
 	}
-	s.active++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-	}()
 
 	n := end - start
 	out := make([]Result, n)
@@ -108,7 +95,7 @@ func (s *Session) RunRange(ctx context.Context, start, end int, onCell func(Resu
 	var done sync.WaitGroup
 	exec := func(ci int, scratch *Scratch, buf *icescope.Buffer) {
 		defer done.Done()
-		res := s.r.runCell(s.spec, 0, ci, scratch, buf)
+		res := s.r.runCell(s.spec, ci, scratch, buf)
 		out[ci-start] = res
 		if onCell != nil {
 			deliverMu.Lock()
@@ -121,7 +108,7 @@ dispatch:
 	for ci := start; ci < end; ci++ {
 		done.Add(1)
 		select {
-		case s.jobs <- sessionCell{ci, exec}:
+		case s.jobs <- sessionCell{ci, exec, s.r.stamp()}:
 		case <-ctx.Done():
 			done.Done()
 			for cj := ci; cj < end; cj++ {
@@ -146,7 +133,7 @@ dispatch:
 }
 
 // Close stops the worker pool and waits for the workers to exit. It must
-// not race an in-flight RunRange (see Idle); calling Close twice is safe.
+// not race an in-flight RunRange; calling Close twice is safe.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -79,37 +78,6 @@ func TestSessionConcurrentRangesMatchRun(t *testing.T) {
 	}
 }
 
-// The whole point of the session seam: prototypes are built at most once
-// per worker for the session's lifetime, not once per range.
-func TestSessionReusesPrototypeAcrossRanges(t *testing.T) {
-	var builds atomic.Int64
-	spec := Spec{
-		Name: "count-builds", Seed: 1, Cells: 12,
-		Run: func(c Cell) (Metrics, error) { return Metrics{"v": float64(c.Index)}, nil },
-		NewProto: func() Proto {
-			builds.Add(1)
-			return protoFunc(func(c Cell) (Metrics, error) { return Metrics{"v": float64(c.Index)}, nil })
-		},
-	}
-	sess, err := Runner{Workers: 2}.NewSession(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	for start := 0; start < spec.Cells; start++ {
-		if _, err := sess.RunRange(context.Background(), start, start+1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := builds.Load(); n > 2 {
-		t.Fatalf("prototype built %d times across 12 ranges on 2 workers, want <= 2", n)
-	}
-}
-
-type protoFunc func(c Cell) (Metrics, error)
-
-func (f protoFunc) Clone(c Cell) (Metrics, error) { return f(c) }
-
 // stable renders results for comparison with the sampled wall-clock
 // encode-time counter zeroed — it is timing, not table content (reduced
 // tables never include it).
@@ -134,9 +102,6 @@ func TestSessionRejectsBadRangeAndClosed(t *testing.T) {
 	}
 	if _, err := sess.RunRange(context.Background(), 0, 3, nil); err == nil {
 		t.Error("out-of-range RunRange succeeded")
-	}
-	if !sess.Idle() {
-		t.Error("fresh session not idle")
 	}
 	sess.Close()
 	sess.Close() // double Close is safe

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/icescope"
 	"repro/internal/sim"
 )
 
@@ -407,5 +408,59 @@ func TestMeshNodeDrainHandshake(t *testing.T) {
 	coord.mu.Unlock()
 	if after != c0 {
 		t.Fatalf("draining node executed %d new cells", after-c0)
+	}
+}
+
+// A node built with NewNodeObs observes every cell it runs in both fleet
+// histograms it serves on /metrics: the cell's execution latency and its
+// wait between dispatch and a worker picking it up.
+func TestNodeObsCountsEveryCell(t *testing.T) {
+	const cells = 6
+	coord := NewCoordinator(Config{ShardCells: 2, Logf: t.Logf})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve(ln)
+	t.Cleanup(func() { ln.Close(); coord.Close() })
+	obs := NewNodeObs(icescope.NewRegistry())
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	node := NewNode(NodeConfig{Coordinator: ln.Addr().String(), Workers: 2, Obs: obs, Logf: t.Logf})
+	go func() {
+		if err := node.Run(ctx); err != nil && ctx.Err() == nil {
+			t.Errorf("node: %v", err)
+		}
+	}()
+	waitCtx, waitCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer waitCancel()
+	if err := coord.WaitForNodes(waitCtx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := fleet.Build(fleet.ScenarioPCASupervised, fleet.Params{Seed: 5, Cells: cells, Duration: 5 * sim.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (fleet.Runner{Workers: 2, Engine: coord}).Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	// The node counts a cell after handing it to its batcher, so the job
+	// can finish at the coordinator first.
+	deadline := time.Now().Add(10 * time.Second)
+	for obs.CellsDone.Value() < cells && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	ran := obs.CellsDone.Value()
+	if ran != cells {
+		t.Fatalf("node ran %d cells, want %d", ran, cells)
+	}
+	for name, h := range map[string]*icescope.Histogram{
+		"icenode_cell_seconds":            obs.Fleet.CellSeconds,
+		"icenode_cell_queue_wait_seconds": obs.Fleet.QueueWaitSeconds,
+	} {
+		if got := h.Count(); got != ran {
+			t.Errorf("%s count = %d, want %d: one per cell the node ran", name, got, ran)
+		}
 	}
 }

@@ -90,10 +90,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // Node is one worker: it registers with the coordinator, heartbeats,
 // executes assigned cell ranges, and streams results back in CellBatch
 // frames. Assignments within the coordinator-granted credit window
-// execute concurrently, all sharing one persistent fleet session per
-// job — the pool bounds actual parallelism at Workers, and the
-// session keeps the spec built once, so shard size 1 costs a function
-// call, not a scenario rebuild.
+// execute concurrently, all sharing one fleet session per job: the job's
+// spec is built once per node, and its shards share one pool of Workers
+// goroutines.
 type Node struct {
 	cfg NodeConfig
 
@@ -121,8 +120,8 @@ type Node struct {
 
 // nodeSession is one cached (built spec, worker pool) pair, keyed by the
 // assignment's job parameters: every shard of the same job hits the same
-// session, so the ~1%-of-shard build cost is paid once per (job, node)
-// instead of once per shard. Traced jobs additionally carry the span
+// session, so the spec is built once per (job, node) and the job's
+// shards share one bounded pool. Traced jobs additionally carry the span
 // forwarder that ships their completed spans to the coordinator.
 type nodeSession struct {
 	sess *fleet.Session
@@ -366,14 +365,15 @@ func assignKey(a *Assign) string {
 
 // sessionFor returns the cached node session for the assignment's job,
 // building spec and pool on first use, plus a release for when the
-// shard finishes. Creating a session for a new job evicts idle sessions
-// of old ones, so the cache holds one session per concurrently-running
-// job, not one per job ever seen. Traced jobs get a forwarding trace:
-// the session's fleet spans parent under its root instead of the local
-// session span (the local -tracefile trace keeps dial/session and
-// untraced jobs' shards; a job's cell spans live in the job's own trace
-// at the coordinator — recording them twice would double memory for
-// nothing), and its completed spans stream back as SpanBatch frames.
+// shard finishes. Creating a session for a new job evicts the sessions
+// of old jobs that no shard holds (refs == 0), so the cache holds one
+// session per concurrently-running job, not one per job ever seen.
+// Traced jobs get a forwarding trace: the session's fleet spans parent
+// under its root instead of the local session span (the local
+// -tracefile trace keeps dial/session and untraced jobs' shards; a job's
+// cell spans live in the job's own trace at the coordinator — recording
+// them twice would double memory for nothing), and its completed spans
+// stream back as SpanBatch frames.
 func (n *Node) sessionFor(a *Assign) (*nodeSession, func(), error) {
 	key := assignKey(a)
 	n.smu.Lock()
@@ -415,7 +415,7 @@ func (n *Node) sessionFor(a *Assign) (*nodeSession, func(), error) {
 			return nil, nil, err
 		}
 		for k, old := range n.sessions {
-			if old.refs == 0 && old.sess.Idle() {
+			if old.refs == 0 {
 				old.sess.Close()
 				delete(n.sessions, k)
 			}

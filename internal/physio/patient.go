@@ -89,25 +89,6 @@ func NewPatient(tr Traits, pk *PK, pd *PD, rng *sim.RNG) *Patient {
 	return p
 }
 
-// Reset rewinds the patient to the state NewPatient built: initial
-// vitals from traits, drug-free PK/PD, no wander, full ventilation, no
-// injected insult. Traits and model parameters are retained. The RNG is
-// owned by the rig, which reseeds it alongside this call so a prototype
-// clone's wander stream matches a from-scratch build.
-func (p *Patient) Reset() {
-	p.pk.Reset()
-	p.pd.Reset()
-	p.pain = p.Traits.InitialPain
-	p.spo2 = 98
-	p.hr = p.Traits.BaselineHR
-	p.rr = p.Traits.BaselineRR
-	p.mapBP = p.Traits.BaselineMAP
-	p.apneic = false
-	p.deadband = 0
-	p.extVent = 1
-	p.mapOffset = 0
-}
-
 // SetExternalVentilation scales the patient's effective ventilation by an
 // external factor: 1 for normal (spontaneous or full mechanical support),
 // 0 when a paused ventilator leaves an anesthetized patient unventilated —

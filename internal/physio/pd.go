@@ -70,10 +70,6 @@ func MustPD(p PDParams) *PD {
 // Params returns the model parameters.
 func (m *PD) Params() PDParams { return m.p }
 
-// Reset returns the effect site to zero concentration, keeping the
-// parameters. Used when a prototype clone rewinds a patient.
-func (m *PD) Reset() { m.ce = 0 }
-
 // EffectSite reports the current effect-site concentration (mg/L).
 func (m *PD) EffectSite() float64 { return m.ce }
 

@@ -79,15 +79,6 @@ func MustPK(p PKParams) *PK {
 // Params returns the model parameters.
 func (m *PK) Params() PKParams { return m.p }
 
-// Reset returns the model to the drug-free initial state, keeping its
-// parameters. Used when a prototype clone rewinds a patient.
-func (m *PK) Reset() {
-	m.a1 = 0
-	m.a2 = 0
-	m.eliminated = 0
-	m.infused = 0
-}
-
 // Concentration reports the central plasma concentration in mg/L.
 func (m *PK) Concentration() float64 { return m.a1 / m.p.V1 }
 

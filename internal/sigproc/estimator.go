@@ -69,10 +69,6 @@ func NewEstimator(p EstimatorParams) *Estimator {
 	}
 }
 
-// Reset drops any partially accumulated window so a prototype clone
-// starts from an empty buffer; parameters and scratch capacity persist.
-func (e *Estimator) Reset() { e.samples = e.samples[:0] }
-
 // WindowSamples reports how many samples form one analysis window.
 func (e *Estimator) WindowSamples() int { return e.perWin }
 

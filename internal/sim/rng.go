@@ -28,29 +28,13 @@ func NewRNG(seed int64) *RNG {
 // purely from (seed, label, index) and are therefore independent of
 // construction and scheduling order.
 func (g *RNG) Fork(label string) *RNG {
-	return NewRNG(g.ForkSeed(label))
-}
-
-// ForkSeed computes the seed Fork would hand a child for label,
-// consuming one draw from the parent exactly as Fork does. Prototype
-// rigs use it to reseed retained child generators in place
-// (child.Reseed(parent.ForkSeed(label))) so that a reset rig replays
-// the same derivation sequence a from-scratch build would perform.
-func (g *RNG) ForkSeed(label string) int64 {
 	var h int64 = 1469598103934665603 // FNV offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= int64(label[i])
 		h *= 1099511628211
 	}
-	return h ^ g.r.Int63()
+	return NewRNG(h ^ g.r.Int63())
 }
-
-// Reseed restarts the generator in place with a fresh seed. Components
-// that captured this RNG at construction keep their pointer; after
-// Reseed they observe the stream NewRNG(seed) would produce — the seam
-// that lets a cloned cell rebind every substream without reallocating
-// or re-plumbing generators.
-func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // SubSeed derives a named substream seed from a base seed. The derivation
 // is a pure function of (seed, label, index): FNV-1a over the inputs with a

@@ -307,34 +307,6 @@ func (k *Kernel) popNext(horizon Time) (fn func(any), arg any, at Time, ok bool)
 	return nil, nil, 0, false
 }
 
-// Reset returns the kernel to its initial state — clock at 0, empty
-// queue, sequence and executed counters zeroed, any pending Stop
-// cleared — while retaining the slot arena, heap, and free-list
-// capacity. It is the foundation of prototype cloning (see
-// internal/fleet): a rig resets its kernel, then replays its
-// construction-time scheduling calls in the original order, which
-// reproduces the original seq assignments and therefore the original
-// event order exactly. Slot generations advance for every discarded
-// event, so EventIDs issued before Reset cancel to a no-op. Resetting
-// mid-Run panics: it would corrupt the dispatch loop.
-func (k *Kernel) Reset() {
-	if k.running {
-		panic("sim: Reset during Run")
-	}
-	for _, si := range k.heap {
-		k.freeSlot(si)
-	}
-	k.heap = k.heap[:0]
-	k.canceled = 0
-	k.now = 0
-	k.seq = 0
-	k.stopped = false
-	k.executed = 0
-	if k.ref != nil {
-		k.ref.reset()
-	}
-}
-
 // Event is a legacy convenience handle for the closure-based scheduling
 // API. Hot paths should hold the EventID from AtFunc/AfterFunc instead.
 type Event struct {
@@ -494,18 +466,4 @@ func (t *Ticker) arm() {
 func (t *Ticker) Stop() {
 	t.done = true
 	t.k.Cancel(t.id)
-}
-
-// Reset re-arms the ticker for a fresh run: the next tick fires one
-// period from the kernel's current time. Intended for prototype rigs
-// that call Kernel.Reset and then re-arm each component's tickers in
-// construction order — the ticker object (and the event argument
-// identity the arena relies on) is reused, so re-arming allocates
-// nothing. Any previously armed tick is dropped by the kernel reset
-// (its EventID is stale); Reset on a still-armed ticker without an
-// intervening Kernel.Reset would duplicate ticks, so rigs must reset
-// the kernel first.
-func (t *Ticker) Reset() {
-	t.done = false
-	t.arm()
 }
