@@ -28,9 +28,7 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
 // Options.Obs cannot reach the table). Tables that declare Trace or
 // Fleet then render again traced, and must match byte for byte and show
 // the spans and cell observations they declared: spans and metrics ride
-// alongside the simulation, never inside it. The engine-free tables are
-// covered here only: icemesh's mesh differential renders just the
-// tables that declare Engine.
+// alongside the simulation, never inside it.
 func TestDifferentialTracing(t *testing.T) {
 	plain := Options{Seed: 1, Cells: 2, Workers: 2}
 

@@ -1,6 +1,8 @@
 package icemesh
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,26 +18,44 @@ import (
 // ship a cell to the mesh; each of those renders locally, on the mesh,
 // and on the mesh with a streamed trace attached (live event subscriber
 // and node span forwarding), and its own subtest must move the
-// coordinator's cells-done counter. Every other table is held by the
-// experiments package's TestDifferentialTracing, which renders it with
-// an Engine that fails the test and pins the render to tables.golden.
+// coordinator's cells-done counter. Every other table renders once with
+// the mesh installed: it must put no cell on the mesh and match its line
+// in the experiments package's tables.golden. A wrong declaration fails
+// here whichever way it is wrong, and the test fails if no table
+// declares Dims.Engine, since then nothing would reach the mesh.
 func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 	if testing.Short() {
-		t.Skip("mesh table differential; skipped in -short")
+		t.Skip("full 14-table differential; skipped in -short")
 	}
-	var engine []string
+	engine := false
 	for _, id := range experiments.IDs() {
-		if experiments.Consumes(id).Engine {
-			engine = append(engine, id)
-		}
+		engine = engine || experiments.Consumes(id).Engine
 	}
-	if len(engine) == 0 {
+	if !engine {
 		t.Fatal("no table declares Dims.Engine, so no table reaches the mesh")
 	}
 	coord, _ := startMesh(t, Config{}, 2, 2)
-	for _, id := range engine {
+	golden, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "tables.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, id := range experiments.IDs() {
 		t.Run(id, func(t *testing.T) {
 			before := coord.met.cellsDone.Value()
+			if !experiments.Consumes(id).Engine {
+				mesh, err := experiments.Run(id, experiments.Options{Cells: 2, Workers: 2, Engine: coord})
+				if err != nil {
+					t.Fatalf("mesh: %v", err)
+				}
+				if n := coord.met.cellsDone.Value() - before; n > 0 {
+					t.Fatalf("table %s put %d cells on the mesh without declaring Dims.Engine", id, n)
+				}
+				if !strings.Contains(string(golden), mesh.String()) {
+					t.Fatalf("table %s with a mesh installed differs from tables.golden:\n%s", id, mesh.String())
+				}
+				return
+			}
 			local, err := experiments.Run(id, experiments.Options{Workers: 2})
 			if err != nil {
 				t.Fatalf("local: %v", err)
