@@ -70,7 +70,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8844", "listen address (use :0 for an ephemeral port)")
-	workers := flag.Int("workers", runtime.NumCPU(), "fleet worker pool width per job (local backend)")
+	workers := flag.Int("workers", runtime.NumCPU(), "fleet cells the gateway computes at once, across all jobs (local cells)")
 	executors := flag.Int("executors", 2, "jobs executing concurrently")
 	queue := flag.Int("queue", 16, "queued-job capacity before submissions get 429")
 	maxCells := flag.Int("maxcells", 4096, "per-job cell ceiling (admission control)")

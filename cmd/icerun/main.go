@@ -103,14 +103,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tr *icescope.Trace
 	var root icescope.Span
 	var followDone chan struct{}
-	opt := experiments.Options{Seed: *seed, Cells: *cells, Workers: *workers}
+	opt := experiments.Options{Seed: *seed, Cells: *cells, Fleet: fleet.Runner{Workers: *workers}}
 	if (*traceFile != "" || *follow) && *remote == "" {
 		tr = icescope.NewTrace("icerun")
 		if *follow {
 			tr.StreamEvents(1 << 16)
 		}
 		root = tr.Start(icescope.Span{}, "icerun")
-		opt.Trace = root
+		opt.Fleet.Span = root
 		if *follow {
 			_, live, _ := tr.SubscribeEvents()
 			followDone = make(chan struct{})

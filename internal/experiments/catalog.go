@@ -4,43 +4,37 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/icescope"
 )
 
 // Options carries the harness-wide knobs into a catalog runner — the
-// same triple cmd/icerun exposes as flags and the gateway accepts in a
-// table-job request. Every runner is a pure function of its options, so
-// a (id, options) pair keys a deterministic result cache.
+// seed and cell count cmd/icerun exposes as flags and the gateway
+// accepts in a table-job request, plus the fleet runner that executes
+// the cells. Every runner is a pure function of Seed and Cells, so an
+// (id, Seed, Cells) triple keys a deterministic result cache.
 type Options struct {
-	Seed    int64 // base simulation seed; 0 = 1
-	Cells   int   // trials per configuration for ensemble experiments (F1)
-	Workers int   // fleet worker pool width for parallel cell execution
+	Seed  int64 // base simulation seed; 0 = 1
+	Cells int   // trials per configuration for ensemble experiments (F1)
 
-	// Engine, when non-nil, distributes fleet-backed experiments (F1,
-	// E6) across it instead of the local pool — the icegate mesh backend
-	// plugs the cluster in here. Deliberately NOT part of result
-	// identity: the fleet's determinism contract makes tables
-	// byte-identical wherever the cells ran, so engines are a deployment
-	// knob exactly like Workers.
-	Engine fleet.Engine
-
-	// Trace, when active, parents the experiment's icescope spans; Obs
-	// feeds the fleet's latency histograms. Both are observability-only:
-	// like Workers and Engine they never enter result identity, and the
-	// trace differential suite holds every table that reads them
-	// byte-identical with tracing on and off.
-	Trace icescope.Span
-	Obs   *fleet.Obs
+	// Fleet runs the fleet-backed tables' cells: its pool or Workers
+	// sets the parallelism, its Engine (the icegate mesh backend plugs
+	// the cluster in here) distributes Build-provenanced specs, its Span
+	// parents the experiment's icescope spans and its Obs feeds the
+	// fleet's latency histograms. None of it enters result identity: the
+	// fleet's determinism contract makes tables byte-identical wherever
+	// and however the cells ran, and the trace differential suite holds
+	// every table that reads Span byte-identical with tracing on and off.
+	Fleet fleet.Runner
 }
 
-// Dims declares which of the deployment dimensions above a table reads.
-// The differential tests vary each dimension only over the tables that
-// declare it, and probe every other table with it to prove the table
-// ignores it, so a wrong declaration fails whichever way it is wrong.
+// Dims declares which of the deployment dimensions in Options.Fleet a
+// table reads. The differential tests vary each dimension only over the
+// tables that declare it, and probe every other table with it to prove
+// the table ignores it, so a wrong declaration fails whichever way it
+// is wrong.
 type Dims struct {
-	Engine bool // ships fleet cells through Options.Engine
-	Trace  bool // opens spans under Options.Trace
-	Fleet  bool // runs cells on fleet.Runner, which feeds Options.Obs
+	Engine bool // ships fleet cells through Fleet.Engine
+	Trace  bool // opens spans under Fleet.Span
+	Fleet  bool // runs cells on Fleet, which feeds Fleet.Obs
 }
 
 func (o Options) withDefaults() Options {
@@ -65,10 +59,7 @@ type entry struct {
 // remotely.
 var catalog = []entry{
 	{"F1", Dims{Engine: true, Trace: true, Fleet: true}, func(o Options) (Table, error) {
-		return F1PCAControlLoop(F1Options{
-			Seed: o.Seed, Trials: o.Cells, Workers: o.Workers,
-			Engine: o.Engine, Trace: o.Trace, Obs: o.Obs,
-		})
+		return F1PCAControlLoop(F1Options{Seed: o.Seed, Trials: o.Cells, Fleet: o.Fleet})
 	}},
 	{"E2", Dims{}, func(o Options) (Table, error) {
 		opt := DefaultE2()
@@ -85,14 +76,11 @@ var catalog = []entry{
 	{"E6", Dims{Engine: true, Trace: true, Fleet: true}, func(o Options) (Table, error) {
 		opt := DefaultE6()
 		opt.Seed = o.Seed
-		opt.Workers = o.Workers
-		opt.Engine = o.Engine
-		opt.Trace = o.Trace
-		opt.Obs = o.Obs
+		opt.Fleet = o.Fleet
 		return E6CommFailure(opt)
 	}},
 	{"E7", Dims{Trace: true, Fleet: true}, func(o Options) (Table, error) {
-		return E7AdaptiveThresholds(E7Options{Seed: o.Seed, Workers: o.Workers, Trace: o.Trace, Obs: o.Obs})
+		return E7AdaptiveThresholds(E7Options{Seed: o.Seed, Fleet: o.Fleet})
 	}},
 	{"E8", Dims{}, func(Options) (Table, error) { return E8IncrementalCert() }},
 	{"E9", Dims{}, func(o Options) (Table, error) {
@@ -157,11 +145,11 @@ func Run(id string, o Options) (Table, error) {
 		return Table{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	o = o.withDefaults()
-	if !o.Trace.Active() {
+	if !o.Fleet.Span.Active() {
 		return e.run(o)
 	}
-	sp := o.Trace.Child("exp " + id)
-	o.Trace = sp
+	sp := o.Fleet.Span.Child("exp " + id)
+	o.Fleet.Span = sp
 	tab, err := e.run(o)
 	sp.End()
 	return tab, err

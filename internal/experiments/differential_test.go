@@ -43,7 +43,7 @@ func differentially(t *testing.T, render func(workers int) (string, error)) {
 func TestDifferentialF1(t *testing.T) {
 	differentially(t, func(workers int) (string, error) {
 		tab, err := F1PCAControlLoop(F1Options{
-			Seed: 42, Duration: 30 * sim.Minute, Trials: 3, Workers: workers,
+			Seed: 42, Duration: 30 * sim.Minute, Trials: 3, Fleet: fleet.Runner{Workers: workers},
 		})
 		return tab.String(), err
 	})
@@ -52,7 +52,7 @@ func TestDifferentialF1(t *testing.T) {
 func TestDifferentialE6(t *testing.T) {
 	differentially(t, func(workers int) (string, error) {
 		tab, err := E6CommFailure(E6Options{
-			Seed: 7, Duration: 30 * sim.Minute, Losses: []float64{0, 0.3}, Workers: workers,
+			Seed: 7, Duration: 30 * sim.Minute, Losses: []float64{0, 0.3}, Fleet: fleet.Runner{Workers: workers},
 		})
 		return tab.String(), err
 	})
@@ -61,7 +61,7 @@ func TestDifferentialE6(t *testing.T) {
 func TestDifferentialE7(t *testing.T) {
 	differentially(t, func(workers int) (string, error) {
 		tab, err := E7AdaptiveThresholds(E7Options{
-			Seed: 5, Athletes: 3, Average: 3, Duration: 2 * sim.Hour, Workers: workers,
+			Seed: 5, Athletes: 3, Average: 3, Duration: 2 * sim.Hour, Fleet: fleet.Runner{Workers: workers},
 		})
 		return tab.String(), err
 	})

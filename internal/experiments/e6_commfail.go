@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/closedloop"
 	"repro/internal/fleet"
-	"repro/internal/icescope"
 	"repro/internal/sim"
 )
 
@@ -14,16 +13,10 @@ type E6Options struct {
 	Seed     int64
 	Duration sim.Time  // 0 = 2 h
 	Losses   []float64 // packet-loss probabilities to sweep
-	Workers  int       // fleet worker pool width; 0 = serial
 
-	// Engine distributes the sweep's cells when non-nil (see
-	// Options.Engine); tables are byte-identical either way.
-	Engine fleet.Engine
-
-	// Trace/Obs are observability passthroughs (see Options); never part
-	// of result identity.
-	Trace icescope.Span
-	Obs   *fleet.Obs
+	// Fleet runs the sweep's cells (see Options.Fleet); tables are
+	// byte-identical however it is set. The zero value runs serially.
+	Fleet fleet.Runner
 }
 
 // DefaultE6 returns the sweep in DESIGN.md.
@@ -44,7 +37,7 @@ func DefaultE6() E6Options {
 //
 // Every sweep point is one fleet cell of the registered "pca-commfault"
 // scenario, all pinned to the base seed so the (mode, loss) axis is the
-// only thing that varies; the cells run concurrently across Workers and
+// only thing that varies; the cells run concurrently on opt.Fleet and
 // reduce back into rows in sweep order.
 func E6CommFailure(opt E6Options) (Table, error) {
 	if len(opt.Losses) == 0 {
@@ -97,7 +90,7 @@ func E6CommFailure(opt E6Options) (Table, error) {
 		spec.Name = fmt.Sprintf("E6 %s loss %.2f", c.mode, c.loss)
 		specs = append(specs, spec)
 	}
-	groups, err := fleet.Runner{Workers: opt.Workers, Engine: opt.Engine, Span: opt.Trace, Obs: opt.Obs}.RunAll(specs)
+	groups, err := opt.Fleet.RunAll(specs)
 	if err != nil {
 		return t, fmt.Errorf("E6: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/alarm"
 	"repro/internal/ehr"
 	"repro/internal/fleet"
-	"repro/internal/icescope"
 	"repro/internal/sim"
 )
 
@@ -17,12 +16,12 @@ type E7Options struct {
 	Athletes int      // 0 = 10
 	Average  int      // 0 = 10
 	Duration sim.Time // 0 = 12 h
-	Workers  int      // fleet worker pool width; 0 = serial
 
-	// Trace/Obs are observability passthroughs (see Options); never part
-	// of result identity.
-	Trace icescope.Span
-	Obs   *fleet.Obs
+	// Fleet runs the patient cells (see Options.Fleet); tables are
+	// byte-identical however it is set. The zero value runs serially.
+	// The cells are closures, not registry scenarios, so they always run
+	// on the local pool, whatever Fleet.Engine is.
+	Fleet fleet.Runner
 }
 
 // e7Series synthesizes a heart-rate series for one patient: baseline plus
@@ -105,7 +104,7 @@ func e7Score(opt E7Options, personalized bool) (alarm.Metrics, error) {
 			}, nil
 		},
 	}
-	results, err := fleet.Runner{Workers: opt.Workers, Span: opt.Trace, Obs: opt.Obs}.Run(spec)
+	results, err := opt.Fleet.Run(spec)
 	if err != nil {
 		return alarm.Metrics{}, err
 	}

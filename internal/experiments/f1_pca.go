@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/closedloop"
 	"repro/internal/fleet"
-	"repro/internal/icescope"
 	"repro/internal/sim"
 )
 
@@ -15,16 +14,10 @@ type F1Options struct {
 	Seed     int64
 	Duration sim.Time // 0 = 2 h
 	Trials   int      // independent patient sessions per configuration; 0 = 1
-	Workers  int      // fleet worker pool width; 0 = serial
 
-	// Engine distributes the trial ensembles when non-nil (see
-	// Options.Engine); tables are byte-identical either way.
-	Engine fleet.Engine
-
-	// Trace/Obs are observability passthroughs (see Options); never part
-	// of result identity.
-	Trace icescope.Span
-	Obs   *fleet.Obs
+	// Fleet runs the trial ensembles (see Options.Fleet); tables are
+	// byte-identical however it is set. The zero value runs serially.
+	Fleet fleet.Runner
 }
 
 // F1PCAControlLoop reproduces Figure 1 of the paper: the closed-loop PCA
@@ -35,7 +28,7 @@ type F1Options struct {
 // pump stop delay).
 //
 // Both configurations run as fleet ensembles: Trials independent patient
-// rooms per configuration, executed across Workers goroutines. Trial 0
+// rooms per configuration, executed on opt.Fleet. Trial 0
 // replays the base seed, so the default single-trial table is identical
 // to the historical serial run; with Trials > 1 each row reports ensemble
 // means and the distress column becomes a count.
@@ -64,7 +57,7 @@ func F1PCAControlLoop(opt F1Options) (Table, error) {
 		}
 		specs = append(specs, spec)
 	}
-	groups, err := fleet.Runner{Workers: opt.Workers, Engine: opt.Engine, Span: opt.Trace, Obs: opt.Obs}.RunAll(specs)
+	groups, err := opt.Fleet.RunAll(specs)
 	if err != nil {
 		return t, fmt.Errorf("F1: %w", err)
 	}

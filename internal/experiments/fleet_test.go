@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func tableAcrossWorkers(t *testing.T, run func(workers int) (Table, error)) {
 func TestF1FleetDeterministicAcrossWorkers(t *testing.T) {
 	tableAcrossWorkers(t, func(workers int) (Table, error) {
 		return F1PCAControlLoop(F1Options{
-			Seed: 42, Duration: 20 * sim.Minute, Trials: 4, Workers: workers,
+			Seed: 42, Duration: 20 * sim.Minute, Trials: 4, Fleet: fleet.Runner{Workers: workers},
 		})
 	})
 }
@@ -41,7 +42,7 @@ func TestF1FleetDeterministicAcrossWorkers(t *testing.T) {
 func TestE6FleetDeterministicAcrossWorkers(t *testing.T) {
 	tableAcrossWorkers(t, func(workers int) (Table, error) {
 		return E6CommFailure(E6Options{
-			Seed: 7, Duration: sim.Hour, Losses: []float64{0, 0.2, 0.4}, Workers: workers,
+			Seed: 7, Duration: sim.Hour, Losses: []float64{0, 0.2, 0.4}, Fleet: fleet.Runner{Workers: workers},
 		})
 	})
 }
@@ -49,7 +50,7 @@ func TestE6FleetDeterministicAcrossWorkers(t *testing.T) {
 func TestE7FleetDeterministicAcrossWorkers(t *testing.T) {
 	tableAcrossWorkers(t, func(workers int) (Table, error) {
 		return E7AdaptiveThresholds(E7Options{
-			Seed: 5, Athletes: 4, Average: 4, Duration: 4 * sim.Hour, Workers: workers,
+			Seed: 5, Athletes: 4, Average: 4, Duration: 4 * sim.Hour, Fleet: fleet.Runner{Workers: workers},
 		})
 	})
 }
@@ -58,7 +59,7 @@ func TestE7FleetDeterministicAcrossWorkers(t *testing.T) {
 // ensemble count and reports trial percentiles; the supervised ensemble
 // must still dominate the unsupervised one.
 func TestF1TrialEnsembleShape(t *testing.T) {
-	tab, err := F1PCAControlLoop(F1Options{Seed: 42, Duration: sim.Hour, Trials: 3, Workers: 4})
+	tab, err := F1PCAControlLoop(F1Options{Seed: 42, Duration: sim.Hour, Trials: 3, Fleet: fleet.Runner{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,25 +25,25 @@ var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
 // dimension it does not declare in its Dims: it runs with an Engine that
 // fails the test, under an active span that must gain no child, and with
 // fresh fleet histograms that must stay empty (no fleet cell ran, so
-// Options.Obs cannot reach the table). Tables that declare Trace or
+// Options.Fleet.Obs cannot reach the table). Tables that declare Trace or
 // Fleet then render again traced, and must match byte for byte and show
 // the spans and cell observations they declared: spans and metrics ride
 // alongside the simulation, never inside it.
 func TestDifferentialTracing(t *testing.T) {
-	plain := Options{Seed: 1, Cells: 2, Workers: 2}
+	plain := Options{Seed: 1, Cells: 2, Fleet: fleet.Runner{Workers: 2}}
 
 	var tables strings.Builder
 	rendered := map[string]string{}
 	for _, id := range IDs() {
 		dims, o, p := Consumes(id), plain, newProbe(id)
 		if !dims.Engine {
-			o.Engine = failEngine{t, id}
+			o.Fleet.Engine = failEngine{t, id}
 		}
 		if !dims.Trace {
-			o.Trace = p.root
+			o.Fleet.Span = p.root
 		}
 		if !dims.Fleet {
-			o.Obs = p.obs
+			o.Fleet.Obs = p.obs
 		}
 		tab, err := Run(id, o)
 		p.root.End()
@@ -67,7 +67,7 @@ func TestDifferentialTracing(t *testing.T) {
 			continue
 		}
 		o, p := plain, newProbe(id)
-		o.Trace, o.Obs = p.root, p.obs
+		o.Fleet.Span, o.Fleet.Obs = p.root, p.obs
 		tab, err := Run(id, o)
 		p.root.End()
 		if err != nil {
@@ -126,7 +126,7 @@ type failEngine struct {
 }
 
 func (e failEngine) RunRange(context.Context, string, fleet.Params, int, int, func(fleet.Result)) error {
-	e.t.Errorf("%s shipped cells to Options.Engine without declaring Dims.Engine", e.id)
+	e.t.Errorf("%s shipped cells to Options.Fleet.Engine without declaring Dims.Engine", e.id)
 	return errors.New("probe engine refuses cells")
 }
 

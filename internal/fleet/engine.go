@@ -10,7 +10,7 @@ import (
 )
 
 // Engine executes a range of a scenario's cells somewhere other than the
-// calling goroutine's worker pool — the distribution seam of the fleet.
+// runner's local pool — the distribution seam of the fleet.
 // An engine receives the scenario by registry name plus the Params it was
 // built with (a spec's closures cannot travel), rebuilds the identical
 // spec wherever the cells actually run, and delivers each finished cell

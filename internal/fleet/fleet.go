@@ -4,7 +4,7 @@
 // scale comes from running many *independent* rooms concurrently rather
 // than from threading one room: a Cell bundles one room's entire world —
 // its own kernel, network, ICE manager, devices, and patient — behind a
-// CellFunc, a Runner executes N cells across a bounded worker pool, and a
+// CellFunc, a Runner executes N cells on a Pool of cell slots, and a
 // Summary reduces the per-cell metrics.
 //
 // Determinism under parallelism is the load-bearing guarantee: each cell's
@@ -14,14 +14,13 @@
 // cell 0 via EnsembleSeeds, and sweep points pin every cell to it) — cells
 // share no mutable state, and results are collected by cell index, so a
 // fixed seed produces byte-identical reduced output whether the fleet runs
-// on 1 worker or 64.
+// on 1 slot or 64.
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/closedloop"
@@ -56,7 +55,7 @@ type Cell struct {
 	Index int   // position in the ensemble, 0-based
 	Seed  int64 // per-cell seed, derived deterministically by the runner
 
-	// scratch is the worker's reusable per-cell state; nil outside a
+	// scratch is the slot's reusable per-cell state; nil outside a
 	// runner (Cell.Trace then allocates fresh).
 	scratch *Scratch
 }
@@ -66,7 +65,7 @@ type Cell struct {
 func (c Cell) RNG() *sim.RNG { return sim.NewRNG(c.Seed) }
 
 // Trace returns an empty trace for the cell's scenario to record into.
-// Inside a runner it is the worker's pooled trace — Reset between cells,
+// Inside a runner it is the slot's pooled trace — Reset between cells,
 // so ensemble runs reuse sample buffers instead of reallocating them —
 // and the recorded contents remain a pure function of the cell either
 // way. The trace is only valid until the cell function returns; results
@@ -78,9 +77,9 @@ func (c Cell) Trace() *sim.Trace {
 	return sim.NewTrace()
 }
 
-// Scratch is one worker's reusable per-cell state. Each runner goroutine
-// owns exactly one, so pooling introduces no sharing between concurrent
-// cells and cannot perturb determinism.
+// Scratch is one pool slot's reusable per-cell state. Only the cell
+// holding the slot touches it, so pooling introduces no sharing between
+// concurrent cells and cannot perturb determinism.
 type Scratch struct {
 	tr *sim.Trace
 }
@@ -100,8 +99,8 @@ func (s *Scratch) reset() {
 }
 
 // CellFunc builds and runs one isolated room and returns its metrics.
-// The runner calls it from worker goroutines, one cell per call; it must
-// not share mutable state with other cells.
+// The runner calls it on the cell's own goroutine, one cell per call; it
+// must not share mutable state with other cells.
 type CellFunc func(c Cell) (Metrics, error)
 
 // Spec describes one ensemble: how many cells, how they are seeded, and
@@ -131,6 +130,16 @@ type Spec struct {
 // from; ok is false for hand-built specs, which no engine can ship.
 func (s Spec) Provenance() (scenario string, p Params, ok bool) {
 	return s.scenario, s.params, s.scenario != ""
+}
+
+func (s Spec) validate() error {
+	if s.Run == nil {
+		return fmt.Errorf("fleet: spec %q has no Run", s.Name)
+	}
+	if s.Cells < 0 {
+		return fmt.Errorf("fleet: spec %q has %d cells", s.Name, s.Cells)
+	}
+	return nil
 }
 
 func (s Spec) seedFor(i int) int64 {
@@ -163,14 +172,19 @@ type Obs struct {
 	// CellSeconds observes each cell's execution latency (build + run).
 	CellSeconds *icescope.Histogram
 	// QueueWaitSeconds observes how long each cell sat between dispatch
-	// and a worker picking it up — the pool-saturation signal.
+	// and a pool slot picking it up — the pool-saturation signal.
 	QueueWaitSeconds *icescope.Histogram
 }
 
-// Runner executes specs across a bounded worker pool. The zero value runs
-// serially (one worker).
+// Runner executes specs on a pool of cell slots. The zero value runs
+// serially (one slot).
 type Runner struct {
-	Workers int // goroutines executing cells; <=0 means 1
+	// Pool, when non-nil, is the slot pool the run's local cells share
+	// with every other run on it. Nil means a pool of Workers slots made
+	// for the call.
+	Pool *Pool
+
+	Workers int // slots of the per-call pool when Pool is nil; <=0 means 1
 
 	// Engine, when non-nil, executes Build-provenanced specs remotely
 	// instead of on the local pool (see Engine). Hand-built specs — those
@@ -178,7 +192,7 @@ type Runner struct {
 	// to exactly the local behavior rather than failing.
 	Engine Engine
 
-	// Span, when active, parents the run's trace: each worker records
+	// Span, when active, parents the run's trace: each slot records
 	// per-cell spans into its own lock-free buffer, and engine-shipped
 	// specs propagate the span over the context so a distributed
 	// coordinator can attach its shard spans to the same tree. The zero
@@ -224,10 +238,10 @@ func (r Runner) RunContext(ctx context.Context, spec Spec, onCell func(Result)) 
 	return all[0], err
 }
 
-// RunAll schedules the cells of several specs over one shared pool and
-// returns results grouped by spec, each group in cell order. Scheduling
-// order never affects results: cells are independent and slot into their
-// own result index.
+// RunAll schedules the cells of several specs over one pool and returns
+// results grouped by spec, each group in cell order. Scheduling order
+// never affects results: cells are independent and slot into their own
+// result index.
 func (r Runner) RunAll(specs []Spec) ([][]Result, error) {
 	return r.RunAllContext(context.Background(), specs, nil)
 }
@@ -247,126 +261,29 @@ func (r Runner) RunAll(specs []Spec) ([][]Result, error) {
 // slices remain in deterministic cell order.
 func (r Runner) RunAllContext(ctx context.Context, specs []Spec, onCell func(Result)) ([][]Result, error) {
 	for _, s := range specs {
-		if s.Run == nil {
-			return nil, fmt.Errorf("fleet: spec %q has no Run", s.Name)
-		}
-		if s.Cells < 0 {
-			return nil, fmt.Errorf("fleet: spec %q has %d cells", s.Name, s.Cells)
+		if err := s.validate(); err != nil {
+			return nil, err
 		}
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	deliver := serialize(onCell)
 	out := make([][]Result, len(specs))
-	// Partition: specs the engine can ship (provenance from Build) run
-	// remotely, one ensemble at a time — each fans its cells out across
-	// the cluster, so the parallelism lives inside RunRange. Everything
-	// else shares the local pool below.
-	remote := make([]bool, len(specs))
-	total := 0
-	for i, s := range specs {
-		out[i] = make([]Result, s.Cells)
-		if r.Engine != nil && s.scenario != "" {
-			remote[i] = true
-		} else {
-			total += s.Cells
-		}
-	}
-	if workers > total {
-		workers = total
-	}
-
-	var deliverMu sync.Mutex
 	var errs []error
-	for si, s := range specs {
-		if !remote[si] {
+	var local []group
+	for i := range specs {
+		out[i] = make([]Result, specs[i].Cells)
+		// Specs the engine can ship (provenance from Build) run remotely,
+		// one ensemble at a time — each fans its cells out across the
+		// cluster, so the parallelism lives inside the engine. Everything
+		// else shares the local pool below.
+		if r.Engine != nil && specs[i].scenario != "" {
+			if err := r.runEngineSpec(ctx, specs[i], out[i], deliver); err != nil {
+				errs = append(errs, err)
+			}
 			continue
 		}
-		err := r.runEngineSpec(ctx, s, out[si], func(res Result) {
-			if onCell != nil {
-				deliverMu.Lock()
-				onCell(res)
-				deliverMu.Unlock()
-			}
-		})
-		if err != nil {
-			errs = append(errs, err)
-		}
+		local = append(local, group{spec: &specs[i], out: out[i]})
 	}
-
-	type job struct {
-		si, ci int
-		enq    time.Time // dispatch stamp; zero unless queue wait is observed
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := &Scratch{} // one per worker: cells on this goroutine share buffers serially
-			buf := r.Span.Trace().Buffer()
-			for j := range jobs {
-				r.observeWait(j.enq)
-				res := r.runCell(specs[j.si], j.ci, scratch, buf)
-				out[j.si][j.ci] = res
-				if onCell != nil {
-					deliverMu.Lock()
-					onCell(res)
-					deliverMu.Unlock()
-				}
-			}
-		}()
-	}
-	cancelled := 0
-dispatch:
-	for si, s := range specs {
-		if remote[si] {
-			continue
-		}
-		for ci := 0; ci < s.Cells; ci++ {
-			select {
-			case jobs <- job{si, ci, r.stamp()}:
-			case <-ctx.Done():
-				// Mark this and every remaining local cell as skipped. Seeds
-				// are still derived so partial result sets stay identifiable.
-				for sj := si; sj < len(specs); sj++ {
-					if remote[sj] {
-						continue
-					}
-					start := 0
-					if sj == si {
-						start = ci
-					}
-					for cj := start; cj < specs[sj].Cells; cj++ {
-						out[sj][cj] = Result{
-							Cell: Cell{Index: cj, Seed: specs[sj].seedFor(cj)},
-							Err:  ctx.Err(),
-						}
-						cancelled++
-					}
-				}
-				break dispatch
-			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	for si, group := range out {
-		if remote[si] {
-			continue // engine failures were recorded once, not per cell
-		}
-		for _, res := range group {
-			if res.Err != nil && !errors.Is(res.Err, ctx.Err()) {
-				errs = append(errs, fmt.Errorf("%s cell %d: %w", specs[si].Name, res.Cell.Index, res.Err))
-			}
-		}
-	}
-	if cancelled > 0 {
-		errs = append(errs, fmt.Errorf("fleet: %d cells skipped: %w", cancelled, ctx.Err()))
-	}
+	errs = append(errs, r.runLocal(ctx, local, deliver)...)
 	return out, errors.Join(errs...)
 }
 
@@ -374,7 +291,7 @@ dispatch:
 // panic in the model (the sim kernel panics on causality violations)
 // into a per-cell error so one bad room cannot take down the fleet. The
 // scratch pointer is stripped from the stored Result so pooled buffers
-// never escape the worker.
+// never escape the slot.
 func (r Runner) runCell(s Spec, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
 	seed := s.seedFor(i)
 	res.Cell = Cell{Index: i, Seed: seed}

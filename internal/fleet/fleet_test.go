@@ -362,6 +362,32 @@ func TestXRaySyncScenarioHonorsDuration(t *testing.T) {
 	}
 }
 
+// The probe scenario's pacing is observability-grade only: rtt knobs
+// change wall time, never table bytes.
+func TestTeleICUProbePacingIsByteInvisible(t *testing.T) {
+	base := Params{Seed: 11, Cells: 3}
+	paced := Params{Seed: 11, Cells: 3, Knobs: map[string]float64{"rtt_ms": 2, "jitter": 0.5}}
+	specA, err := Build(ScenarioTeleICUProbe, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB, err := Build(ScenarioTeleICUProbe, paced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := Runner{Workers: 2}.Run(specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := Runner{Workers: 2}.Run(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stable(ra) != stable(rb) {
+		t.Fatalf("rtt pacing changed table bytes:\n%+v\nvs\n%+v", ra, rb)
+	}
+}
+
 func TestKnownKnobsDeclarations(t *testing.T) {
 	knobs, ok := KnownKnobs(ScenarioXRayVentSync)
 	if !ok || len(knobs) != 4 {

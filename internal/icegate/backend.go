@@ -2,7 +2,7 @@ package icegate
 
 import "repro/internal/fleet"
 
-// Backend is where a job's fleet cells execute: this process's worker
+// Backend is where a job's fleet cells execute: this process's cell
 // pool, or a distribution engine that fans them out across a cluster.
 // The gateway's contract makes the choice invisible to clients — the
 // fleet's determinism guarantee holds across processes, so the cache,
@@ -27,7 +27,7 @@ type backendMetrics interface {
 }
 
 // LocalBackend is the default Backend: cells execute on the scheduler's
-// own worker pool.
+// own cell pool.
 type LocalBackend struct{}
 
 // Name implements Backend.

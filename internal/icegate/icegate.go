@@ -33,7 +33,7 @@ import (
 type Config struct {
 	QueueDepth int // jobs admitted but not yet executing, all tenants; <=0 means 16
 	Executors  int // jobs executing concurrently; <=0 means 1
-	Workers    int // fleet worker-pool width per job; <=0 means 1
+	Workers    int // local cells computed at once, across all jobs; <=0 means 1
 	MaxCells   int // per-job cell ceiling (admission control); <=0 means 4096
 	RetainJobs int // finished jobs kept for status queries; <=0 means 1024
 
@@ -89,13 +89,14 @@ func (c Config) withDefaults() Config {
 // Requests.
 var ErrQueueFull = errors.New("icegate: job queue full")
 
-// Scheduler owns the tenant queues, the executor pool, and the result
-// cache hierarchy.
+// Scheduler owns the tenant queues, the executor pool, the cell pool
+// that every job's local cells share, and the result cache hierarchy.
 type Scheduler struct {
 	cfg   Config
 	cache *Cache
 	store *icestore.Store
 	met   *gatewayMetrics
+	pool  *fleet.Pool // Workers slots: bounds local cells across all jobs
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -143,6 +144,7 @@ func NewScheduler(cfg Config) *Scheduler {
 		cfg:     cfg,
 		cache:   NewCache(),
 		store:   cfg.Store,
+		pool:    fleet.NewPool(cfg.Workers),
 		baseCtx: ctx,
 		stop:    stop,
 		jobs:    map[string]*Job{},
@@ -622,13 +624,7 @@ func (s *Scheduler) runScenario(ctx context.Context, job *Job, sum *fleet.Summar
 	if err != nil {
 		return "", err
 	}
-	runner := fleet.Runner{
-		Workers: s.cfg.Workers,
-		Engine:  s.cfg.Backend.Engine(),
-		Span:    job.run,
-		Obs:     s.met.fleetObs,
-	}
-	results, err := runner.RunContext(ctx, spec, func(r fleet.Result) {
+	results, err := s.runner(job).RunContext(ctx, spec, func(r fleet.Result) {
 		cr := CellResult{Index: r.Cell.Index, Seed: r.Cell.Seed, Metrics: r.Metrics}
 		if r.Err != nil {
 			cr.Err = r.Err.Error()
@@ -646,6 +642,13 @@ func (s *Scheduler) runScenario(ctx context.Context, job *Job, sum *fleet.Summar
 	table := renderScenarioTable(req, results, sum)
 	merge.End(icescope.IntAttr("cells", len(results)))
 	return table, nil
+}
+
+// runner runs one job's cells: on the scheduler's shared pool, through
+// its backend's engine, under the job's span, into the gateway's
+// histograms.
+func (s *Scheduler) runner(job *Job) fleet.Runner {
+	return fleet.Runner{Pool: s.pool, Engine: s.cfg.Backend.Engine(), Span: job.run, Obs: s.met.fleetObs}
 }
 
 // renderScenarioTable is the canonical rendering of a scenario job: the
@@ -672,12 +675,9 @@ func (s *Scheduler) runExperiment(ctx context.Context, job *Job) (string, error)
 		return "", err
 	}
 	tab, err := experiments.Run(job.Req.Exp, experiments.Options{
-		Seed:    job.Req.Seed,
-		Cells:   job.Req.Cells,
-		Workers: s.cfg.Workers,
-		Engine:  s.cfg.Backend.Engine(),
-		Trace:   job.run,
-		Obs:     s.met.fleetObs,
+		Seed:  job.Req.Seed,
+		Cells: job.Req.Cells,
+		Fleet: s.runner(job),
 	})
 	if err != nil {
 		return "", err

@@ -111,6 +111,28 @@ func getResult(t *testing.T, ts *httptest.Server, id string) (string, string, in
 	return string(b), resp.Header.Get("X-Icegate-Cached"), resp.StatusCode
 }
 
+// A duration_s the simulator cannot represent is a 400, not a silent
+// default horizon: 1e10 s overflows int64 nanoseconds and 1e-12 s rounds
+// to 0 ns, and either would run the scenario's default horizon cached
+// under a key that names the bad value.
+func TestValidateRejectsUnrepresentableDuration(t *testing.T) {
+	for _, d := range []float64{1e10, 9.3e9, 1e-12, 1e-10} {
+		err := Request{Scenario: fleet.ScenarioPCASupervised, DurationS: d}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "duration_s") {
+			t.Errorf("duration_s %v: Validate = %v, want an error naming duration_s", d, err)
+		}
+	}
+	for _, d := range []float64{0, 1e-9, 600, 9.2e9} {
+		if err := (Request{Scenario: fleet.ScenarioPCASupervised, DurationS: d}).Validate(); err != nil {
+			t.Errorf("duration_s %v rejected: %v", d, err)
+		}
+	}
+	_, ts := newTestGateway(t, Config{QueueDepth: 4, Executors: 1, Workers: 1})
+	if _, code := submit(t, ts, Request{Scenario: fleet.ScenarioPCASupervised, DurationS: 1e10}); code != http.StatusBadRequest {
+		t.Fatalf("duration_s 1e10 submitted with %d, want 400", code)
+	}
+}
+
 // The acceptance criterion for the deterministic cache: two identical
 // submissions return byte-identical tables, the second served from cache
 // without simulating.

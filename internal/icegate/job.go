@@ -61,6 +61,11 @@ func (r Request) Validate() error {
 	if r.DurationS < 0 || math.IsNaN(r.DurationS) || math.IsInf(r.DurationS, 0) {
 		return fmt.Errorf("icegate: bad duration_s %v", r.DurationS)
 	}
+	// The horizon becomes int64 nanoseconds of sim time: reject what does
+	// not fit, and a positive value that would round to 0 (the default).
+	if ns := r.DurationS * float64(sim.Second); ns >= math.MaxInt64 || (ns > 0 && ns < 1) {
+		return fmt.Errorf("icegate: duration_s %v is outside the simulator's range (1 ns to %v s)", r.DurationS, float64(math.MaxInt64)/float64(sim.Second))
+	}
 	for k, v := range r.Knobs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("icegate: knob %q is not finite", k)

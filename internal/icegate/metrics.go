@@ -38,7 +38,7 @@ type gatewayMetrics struct {
 	wireEncodeNS *icescope.Counter // sampled envelope-encode wall time, ns
 
 	// fleetObs is handed to every job's fleet.Runner: cell execution
-	// latency and dispatch-to-pickup queue wait, as histograms.
+	// latency and dispatch-to-slot-pickup queue wait, as histograms.
 	fleetObs *fleet.Obs
 }
 
@@ -56,7 +56,7 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 		func() float64 { return float64(s.cfg.QueueDepth) })
 	r.GaugeFunc("icegate_executors", "Concurrent job executors.",
 		func() float64 { return float64(s.cfg.Executors) })
-	r.GaugeFunc("icegate_fleet_workers", "Fleet worker-pool width per job.",
+	r.GaugeFunc("icegate_fleet_workers", "Local fleet cells the gateway computes at once, across all jobs.",
 		func() float64 { return float64(s.cfg.Workers) })
 
 	m.jobsSubmitted = r.Counter("icegate_jobs_submitted_total", "Jobs admitted (including cache hits).")
@@ -180,7 +180,7 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 		CellSeconds: r.Histogram("icegate_cell_seconds",
 			"Per-cell execution latency (build + run).", nil),
 		QueueWaitSeconds: r.Histogram("icegate_cell_queue_wait_seconds",
-			"Per-cell wait between fleet dispatch and worker pickup.", nil),
+			"Per-cell wait between fleet dispatch and a pool slot picking it up.", nil),
 	}
 
 	// Execution backend: which one is active (a one-hot labeled gauge).

@@ -44,7 +44,7 @@ func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			before := coord.met.cellsDone.Value()
 			if !experiments.Consumes(id).Engine {
-				mesh, err := experiments.Run(id, experiments.Options{Cells: 2, Workers: 2, Engine: coord})
+				mesh, err := experiments.Run(id, experiments.Options{Cells: 2, Fleet: fleet.Runner{Workers: 2, Engine: coord}})
 				if err != nil {
 					t.Fatalf("mesh: %v", err)
 				}
@@ -56,11 +56,11 @@ func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 				}
 				return
 			}
-			local, err := experiments.Run(id, experiments.Options{Workers: 2})
+			local, err := experiments.Run(id, experiments.Options{Fleet: fleet.Runner{Workers: 2}})
 			if err != nil {
 				t.Fatalf("local: %v", err)
 			}
-			mesh, err := experiments.Run(id, experiments.Options{Workers: 2, Engine: coord})
+			mesh, err := experiments.Run(id, experiments.Options{Fleet: fleet.Runner{Workers: 2, Engine: coord}})
 			if err != nil {
 				t.Fatalf("mesh: %v", err)
 			}
@@ -72,7 +72,7 @@ func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 			tr.StreamEvents(8192)
 			_, live, _ := tr.SubscribeEvents()
 			root := tr.Start(icescope.Span{}, "table "+id)
-			streamed, err := experiments.Run(id, experiments.Options{Workers: 2, Engine: coord, Trace: root})
+			streamed, err := experiments.Run(id, experiments.Options{Fleet: fleet.Runner{Workers: 2, Engine: coord, Span: root}})
 			root.End()
 			tr.CloseEvents()
 			for range live {

@@ -464,3 +464,102 @@ func TestNodeObsCountsEveryCell(t *testing.T) {
 		}
 	}
 }
+
+// cellGauge tracks how many cells run at once and the most it ever saw.
+type cellGauge struct{ now, peak atomic.Int64 }
+
+func (g *cellGauge) enter() {
+	n := g.now.Add(1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+}
+
+// gaugedJobs is one node-concurrency run: a gauge per job (by seed), one
+// for the node's total, and a channel closed once four cells overlap.
+type gaugedJobs struct {
+	mu    sync.Mutex
+	jobs  map[int64]*cellGauge
+	total cellGauge
+	full  chan struct{}
+	once  sync.Once
+}
+
+var gaugedRuns sync.Map // "run" knob -> *gaugedJobs
+
+var gaugedRunIDs atomic.Int64 // unique runs across -count=N reruns
+
+func gaugedRun(id float64) *gaugedJobs {
+	r, _ := gaugedRuns.LoadOrStore(id, &gaugedJobs{jobs: map[int64]*cellGauge{}, full: make(chan struct{})})
+	return r.(*gaugedJobs)
+}
+
+func (r *gaugedJobs) job(seed int64) *cellGauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.jobs[seed] == nil {
+		r.jobs[seed] = &cellGauge{}
+	}
+	return r.jobs[seed]
+}
+
+// Cells of "mesh-gauged" hold on until four of them overlap on the node
+// (or 200 ms pass), so a node that runs fewer cells at once than its
+// per-job pools allow shows it in the total's peak.
+func init() {
+	fleet.Register("mesh-gauged", func(p fleet.Params) fleet.Spec {
+		r := gaugedRun(p.Knobs["run"])
+		job := r.job(p.Seed)
+		return fleet.Spec{
+			Name:  "mesh-gauged",
+			Seed:  p.Seed,
+			Cells: p.Cells,
+			Run: func(c fleet.Cell) (fleet.Metrics, error) {
+				job.enter()
+				r.total.enter()
+				if r.total.now.Load() >= 4 {
+					r.once.Do(func() { close(r.full) })
+				}
+				select {
+				case <-r.full:
+				case <-time.After(200 * time.Millisecond):
+				}
+				r.total.now.Add(-1)
+				job.now.Add(-1)
+				return fleet.Metrics{"index": float64(c.Index)}, nil
+			},
+		}
+	})
+}
+
+// A node keeps one pool of Workers slots per job: shards of two jobs in
+// flight at once never run more than Workers cells of either job, and
+// the two jobs together run more than Workers. icu-mesh's probe cells
+// depend on that per-job width.
+func TestNodeBoundsEachJobToWorkers(t *testing.T) {
+	coord, _ := startMesh(t, Config{ShardCells: 1, Window: 8}, 1, 2)
+	id := float64(gaugedRunIDs.Add(1))
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 2; seed++ {
+		spec, err := fleet.Build("mesh-gauged", fleet.Params{Seed: seed, Cells: 4, Knobs: map[string]float64{"run": id}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := (fleet.Runner{Engine: coord}).Run(spec); err != nil {
+				t.Errorf("job seed %d: %v", seed, err)
+			}
+		}()
+	}
+	wg.Wait()
+	r := gaugedRun(id)
+	for seed, g := range r.jobs {
+		if peak := g.peak.Load(); peak > 2 {
+			t.Errorf("job seed %d ran %d cells at once on a Workers: 2 node, want at most 2", seed, peak)
+		}
+	}
+	if peak := r.total.peak.Load(); peak <= 2 {
+		t.Errorf("the node ran at most %d cells of two concurrent jobs at once, want more than 2", peak)
+	}
+}

@@ -19,7 +19,7 @@ import (
 type NodeConfig struct {
 	Coordinator  string        // coordinator address (host:port)
 	Name         string        // advertised node name; "" lets the coordinator pick
-	Workers      int           // local fleet pool width, advertised as capacity; <=0 means 1
+	Workers      int           // slots of each job's cell pool, advertised as capacity; <=0 means 1
 	DialRetry    Backoff       // re-dial policy (zero value = 100ms doubling to 5s)
 	DialAttempts int           // dial attempts before Run gives up; <=0 means 30
 	BatchCells   int           // CellDone entries coalesced per CellBatch frame; <=0 means 32
@@ -63,7 +63,7 @@ func NewNodeObs(reg *icescope.Registry) *NodeObs {
 			CellSeconds: reg.Histogram("icenode_cell_seconds",
 				"Per-cell execution latency on this node's pool.", nil),
 			QueueWaitSeconds: reg.Histogram("icenode_cell_queue_wait_seconds",
-				"Per-cell wait between dispatch and worker pickup on this node.", nil),
+				"Per-cell wait between dispatch and a pool slot picking it up on this node.", nil),
 		},
 	}
 }
@@ -90,9 +90,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // Node is one worker: it registers with the coordinator, heartbeats,
 // executes assigned cell ranges, and streams results back in CellBatch
 // frames. Assignments within the coordinator-granted credit window
-// execute concurrently, all sharing one fleet session per job: the job's
-// spec is built once per node, and its shards share one pool of Workers
-// goroutines.
+// execute concurrently. Each job's shards share one fleet pool of
+// Workers slots, so no job runs more than Workers cells at once here,
+// while shards of other jobs run on their own pools.
 type Node struct {
 	cfg NodeConfig
 
@@ -107,31 +107,28 @@ type Node struct {
 	cellsDone uint64
 	draining  bool
 
-	// smu guards the per-job session cache; batch coalesces outgoing
-	// cell deliveries. Both are rebuilt per Run (per connection).
-	smu      sync.Mutex
-	sessions map[string]*nodeSession
-	batch    *cellBatcher
+	// jmu guards the per-job pool cache; batch coalesces outgoing cell
+	// deliveries. Both are rebuilt per Run (per connection).
+	jmu   sync.Mutex
+	jobs  map[string]*nodeJob
+	batch *cellBatcher
 
 	// sess parents this connection's shard spans; set in Run before
 	// assignments arrive, zero when the node is untraced.
 	sess icescope.Span
 }
 
-// nodeSession is one cached (built spec, worker pool) pair, keyed by the
-// assignment's job parameters: every shard of the same job hits the same
-// session, so the spec is built once per (job, node) and the job's
-// shards share one bounded pool. Traced jobs additionally carry the span
-// forwarder that ships their completed spans to the coordinator.
-type nodeSession struct {
-	sess *fleet.Session
-	fwd  *spanForwarder // nil for untraced jobs
-	refs int            // assignments currently executing on it
+// nodeJob is one job's cell pool on this node, keyed by the assignment's
+// job parameters, so every shard of the job runs on it.
+type nodeJob struct {
+	pool     *fleet.Pool
+	refs     int  // assignments currently executing on it
+	replayed bool // a traced shard already sent the connection instants
 }
 
 // NewNode returns an unconnected node; Run connects and serves.
 func NewNode(cfg NodeConfig) *Node {
-	return &Node{cfg: cfg.withDefaults(), sessions: map[string]*nodeSession{}}
+	return &Node{cfg: cfg.withDefaults()}
 }
 
 // Name reports the coordinator-assigned node name ("" before Welcome).
@@ -220,24 +217,23 @@ func (b *cellBatcher) sendLocked() {
 // batcher) bounds how stale a partial batch may go.
 const spanBatchMax = 64
 
-// spanForwarder batches a traced job's completed spans into SpanBatch
-// frames. It is fed synchronously by the forwarding trace's event plane
-// (ForwardEvents), so by the time a cell's CellDone is batched on the
-// same goroutine, the cell's span is already buffered here — and
-// detachFlush before ShardDone means it is already on the wire before
-// the shard retires. Spans carry node trace-clock offsets; NowNS lets
-// the coordinator re-base them onto the job trace's epoch.
+// spanForwarder batches one traced assignment's completed spans into
+// SpanBatch frames stamped with its shard. It is fed synchronously by
+// its forwarding trace's event plane (ForwardEvents), so by the time a
+// cell's CellDone is batched on the same goroutine, the cell's span is
+// already buffered here — and close(true) before ShardDone means it is
+// already on the wire before the shard retires. Spans carry trace-clock
+// offsets; NowNS lets the coordinator re-base them onto the job trace's
+// epoch.
 type spanForwarder struct {
-	n    *Node
-	tr   *icescope.Trace // the node-side forwarding trace (NowNS source)
-	root icescope.Span   // parent of this job's shard spans on the node
-	max  int
-	wait time.Duration
+	n     *Node
+	tr    *icescope.Trace // the assignment's forwarding trace (NowNS source)
+	shard uint64          // the assignment, named on every frame
 
 	mu     sync.Mutex // held across the wire write, like cellBatcher
 	buf    []SpanRec
 	timer  *time.Timer
-	shards map[uint64]struct{} // this job's assignments still executing here
+	closed bool // the shard has retired: later spans are dropped
 }
 
 // onEvent converts completed spans (ends and instants; starts carry no
@@ -259,78 +255,51 @@ func (f *spanForwarder) onEvent(ev icescope.SpanEvent) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return
+	}
 	f.buf = append(f.buf, rec)
-	if len(f.buf) >= f.max {
-		f.flushLocked()
+	if len(f.buf) >= spanBatchMax {
+		f.sendLocked()
 		return
 	}
 	if f.timer == nil {
-		f.timer = time.AfterFunc(f.wait, func() {
+		f.timer = time.AfterFunc(f.n.cfg.BatchFlush, func() {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			f.flushLocked()
+			f.sendLocked()
 		})
 	}
 }
 
-// addShard registers an assignment as a live locator for this job.
-func (f *spanForwarder) addShard(shard uint64) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.shards[shard] = struct{}{}
-	f.mu.Unlock()
-}
-
-// detachFlush writes everything pending stamped with shard, then
-// retires shard from the locator set — atomically, so a span frame
-// never carries a locator the coordinator has already seen retired by
-// the ShardDone that the caller sends right after this returns.
-func (f *spanForwarder) detachFlush(shard uint64) {
+// close retires the forwarder; nil-safe. With flush it first writes
+// everything pending — the completed path, right before ShardDone.
+// Without, pending spans are dropped: the cancelled path, where sending
+// could race the coordinator's eviction and double-record spans for
+// cells that will re-run elsewhere. Either way later spans are dropped.
+func (f *spanForwarder) close(flush bool) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sendLocked(shard)
-	delete(f.shards, shard)
-}
-
-// drop retires shard without flushing — the cancelled path, where
-// sending could race the coordinator's eviction and double-record spans
-// for cells that will re-run elsewhere.
-func (f *spanForwarder) drop(shard uint64) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	delete(f.shards, shard)
-	f.mu.Unlock()
-}
-
-// flushLocked picks any still-active assignment as the frame's job
-// locator; with none active the spans stay buffered for the next
-// detachFlush (or are discarded with the session — the job is done
-// here). Callers hold f.mu.
-func (f *spanForwarder) flushLocked() {
-	for shard := range f.shards {
-		f.sendLocked(shard)
-		return
+	if flush {
+		f.sendLocked()
 	}
 	if f.timer != nil {
 		f.timer.Stop()
 		f.timer = nil
 	}
+	f.buf, f.closed = nil, true
 }
 
 // sendLocked writes the pending spans as one frame. Callers hold f.mu.
-func (f *spanForwarder) sendLocked(shard uint64) {
+func (f *spanForwarder) sendLocked() {
 	if f.timer != nil {
 		f.timer.Stop()
 		f.timer = nil
 	}
-	if len(f.buf) == 0 {
+	if f.closed || len(f.buf) == 0 {
 		return
 	}
 	spans := f.buf
@@ -338,20 +307,16 @@ func (f *spanForwarder) sendLocked(shard uint64) {
 	// Send errors are dropped for the same reason as cell batches: a dead
 	// connection surfaces in Run's read loop, and spans are observability,
 	// not results — nothing re-queues them.
-	_ = f.n.send(&SpanBatch{Shard: shard, NowNS: uint64(f.tr.Now()), Spans: spans})
+	_ = f.n.send(&SpanBatch{Shard: f.shard, NowNS: uint64(f.tr.Now()), Spans: spans})
 }
 
 // assignKey identifies the job a shard belongs to by its rebuild
 // parameters — every shard of one job carries identical ones, so the key
-// needs no job id on the wire. Traced and untraced jobs with identical
-// parameters key separately: a traced session's spans route to its
-// forwarding trace, an untraced one's must not.
+// needs no job id on the wire. Tracing is per assignment, so traced and
+// untraced jobs with identical parameters share one pool.
 func assignKey(a *Assign) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s|%d|%d|%d", a.Scenario, a.Seed, a.Cells, int64(a.Duration))
-	if a.Trace {
-		sb.WriteString("|traced")
-	}
 	knobs := make([]string, 0, len(a.Knobs))
 	for k := range a.Knobs {
 		knobs = append(knobs, k)
@@ -363,86 +328,34 @@ func assignKey(a *Assign) string {
 	return sb.String()
 }
 
-// sessionFor returns the cached node session for the assignment's job,
-// building spec and pool on first use, plus a release for when the
-// shard finishes. Creating a session for a new job evicts the sessions
-// of old jobs that no shard holds (refs == 0), so the cache holds one
-// session per concurrently-running job, not one per job ever seen.
-// Traced jobs get a forwarding trace: the session's fleet spans parent
-// under its root instead of the local session span (the local
-// -tracefile trace keeps dial/session and untraced jobs' shards; a job's
-// cell spans live in the job's own trace at the coordinator — recording
-// them twice would double memory for nothing), and its completed spans
-// stream back as SpanBatch frames.
-func (n *Node) sessionFor(a *Assign) (*nodeSession, func(), error) {
+// jobFor returns the cell pool of the assignment's job, making it on
+// first use, plus a release for when the shard finishes. Making a pool
+// for a new job drops the pools of old jobs that no shard holds
+// (refs == 0), so the cache holds one pool per concurrently running job,
+// not one per job ever seen. replay is true for the job's first traced
+// shard here, which sends the connection instants.
+func (n *Node) jobFor(a *Assign) (j *nodeJob, replay bool, release func()) {
 	key := assignKey(a)
-	n.smu.Lock()
-	defer n.smu.Unlock()
-	ns := n.sessions[key]
-	if ns == nil {
-		spec, err := fleet.Build(a.Scenario, fleet.Params{
-			Seed:     a.Seed,
-			Cells:    a.Cells,
-			Duration: a.Duration,
-			Knobs:    a.Knobs,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		var fwd *spanForwarder
-		span := n.sess
-		if a.Trace {
-			name := n.Name()
-			ftr := icescope.NewTrace("node " + name)
-			fwd = &spanForwarder{n: n, tr: ftr, max: spanBatchMax, wait: n.cfg.BatchFlush, shards: map[uint64]struct{}{}}
-			ftr.ForwardEvents(fwd.onEvent)
-			fwd.root = ftr.Start(icescope.Span{}, "node "+name)
-			span = fwd.root
-			// Replay connection context the job missed: how expensive this
-			// node's dial was, and that a session root anchors its spans.
-			n.mu.Lock()
-			dialMS := n.dialMS
-			n.mu.Unlock()
-			ftr.Instant(fwd.root, "dial coordinator", icescope.NumAttr("ms", dialMS))
-			ftr.Instant(fwd.root, "session "+name, icescope.StrAttr("node", name))
-		}
-		runner := fleet.Runner{Workers: n.cfg.Workers, Span: span}
-		if n.cfg.Obs != nil {
-			runner.Obs = n.cfg.Obs.Fleet
-		}
-		sess, err := runner.NewSession(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, old := range n.sessions {
+	n.jmu.Lock()
+	defer n.jmu.Unlock()
+	j = n.jobs[key]
+	if j == nil {
+		for k, old := range n.jobs {
 			if old.refs == 0 {
-				old.sess.Close()
-				delete(n.sessions, k)
+				delete(n.jobs, k)
 			}
 		}
-		ns = &nodeSession{sess: sess, fwd: fwd}
-		n.sessions[key] = ns
+		j = &nodeJob{pool: fleet.NewPool(n.cfg.Workers)}
+		n.jobs[key] = j
 	}
-	// Register the assignment as a job locator before any of its spans can
-	// flush; frames always carry a shard the coordinator still holds.
-	ns.fwd.addShard(a.Shard)
-	ns.refs++
-	return ns, func() {
-		n.smu.Lock()
-		ns.refs--
-		n.smu.Unlock()
-	}, nil
-}
-
-// closeSessions tears down the session cache at connection end; every
-// execute goroutine has returned by then, so all pools are idle.
-func (n *Node) closeSessions() {
-	n.smu.Lock()
-	all := n.sessions
-	n.sessions = map[string]*nodeSession{}
-	n.smu.Unlock()
-	for _, ns := range all {
-		ns.sess.Close()
+	if a.Trace && !j.replayed {
+		j.replayed, replay = true, true
+	}
+	j.refs++
+	return j, replay, func() {
+		n.jmu.Lock()
+		j.refs--
+		n.jmu.Unlock()
 	}
 }
 
@@ -505,8 +418,8 @@ func (n *Node) Run(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
+	n.jobs = map[string]*nodeJob{}
 	n.batch = &cellBatcher{n: n, max: n.cfg.BatchCells, wait: n.cfg.BatchFlush}
-	defer n.closeSessions()
 	var workers sync.WaitGroup
 	workers.Add(1)
 	go func() { // heartbeats, independent of execution
@@ -541,8 +454,7 @@ func (n *Node) Run(ctx context.Context) error {
 		switch v := m.(type) {
 		case *Assign:
 			// Assignments in the credit window run concurrently; the
-			// shared per-job session bounds actual parallelism at the
-			// pool's worker count, so capacity stays an honest number.
+			// job's pool bounds its parallelism at Workers cells.
 			n.mu.Lock()
 			n.inflight++
 			n.mu.Unlock()
@@ -569,61 +481,82 @@ func (n *Node) Run(ctx context.Context) error {
 	return readErr
 }
 
-// execute runs one assigned range on the job's cached session and
-// streams results back through the batcher. Cell-level failures ride
-// their CellBatch entry (matching local fleet semantics, where a bad cell
-// doesn't kill the ensemble); only range-level failures — an unknown
-// scenario, an impossible range — fail the shard.
+// execute runs one assigned range on its job's pool and streams results
+// back through the batcher. Cell-level failures ride their CellBatch
+// entry (matching local fleet semantics, where a bad cell doesn't kill
+// the ensemble); only range-level failures — an unknown scenario, an
+// impossible range — fail the shard.
 func (n *Node) execute(ctx context.Context, a *Assign) {
 	var t0 time.Time
 	if n.cfg.Obs != nil {
 		t0 = time.Now()
 	}
-	ns, release, err := n.sessionFor(a)
+	job, replay, release := n.jobFor(a)
+	defer release()
+	// A traced job's spans ride a forwarding trace of this assignment, so
+	// the coordinator's job trace shows this node's shards and cells. The
+	// local -tracefile session keeps untraced jobs' spans: one trace owns
+	// each span, never two.
+	parent := n.sess
+	var fwd *spanForwarder
+	if a.Trace {
+		n.mu.Lock()
+		name, dialMS := n.name, n.dialMS
+		n.mu.Unlock()
+		fwd = &spanForwarder{n: n, tr: icescope.NewTrace("node " + name), shard: a.Shard}
+		fwd.tr.ForwardEvents(fwd.onEvent)
+		parent = fwd.tr.Start(icescope.Span{}, "node "+name) // never ended, so never forwarded
+		if replay {
+			// Replay connection context the job missed: how expensive this
+			// node's dial was, and that a session anchors its spans.
+			fwd.tr.Instant(parent, "dial coordinator", icescope.NumAttr("ms", dialMS))
+			fwd.tr.Instant(parent, "session "+name, icescope.StrAttr("node", name))
+		}
+	}
 	sp := icescope.Span{}
-	switch {
-	case ns != nil && ns.fwd != nil:
-		// Traced job: the shard span rides the forwarding trace, so the
-		// coordinator's job trace shows this node's shards and cells.
-		sp = ns.fwd.root.Child(fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
-	case n.sess.Active():
-		sp = n.sess.Child(fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
+	if parent.Active() {
+		sp = parent.Child(fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
 	}
-	if err == nil && a.End > ns.sess.Spec().Cells {
-		err = fmt.Errorf("range [%d,%d) outside rebuilt spec (%d cells)", a.Start, a.End, ns.sess.Spec().Cells)
-	}
-	if err != nil {
-		if release != nil {
-			release()
+	spec, err := fleet.Build(a.Scenario, fleet.Params{
+		Seed:     a.Seed,
+		Cells:    a.Cells,
+		Duration: a.Duration,
+		Knobs:    a.Knobs,
+	})
+	var res []fleet.Result
+	if err == nil {
+		runner := fleet.Runner{Pool: job.pool, Span: parent}
+		if n.cfg.Obs != nil {
+			runner.Obs = n.cfg.Obs.Fleet
 		}
+		res, err = runner.RunRange(ctx, spec, a.Start, a.End, func(r fleet.Result) {
+			cd := CellDone{
+				Shard: a.Shard, Index: r.Cell.Index, Seed: r.Cell.Seed,
+				Events: r.Events, WireBytes: r.WireBytes, WireEncodeNS: r.WireEncodeNS,
+				Metrics: r.Metrics,
+			}
+			if r.Err != nil {
+				cd.Err = r.Err.Error()
+			}
+			n.batch.add(cd)
+			n.mu.Lock()
+			n.cellsDone++
+			n.mu.Unlock()
+			if n.cfg.Obs != nil {
+				n.cfg.Obs.CellsDone.Inc()
+			}
+		})
+	}
+	if res == nil {
+		// The job or the range could not run at all, so no cell ran.
 		sp.End(icescope.StrAttr("outcome", "failed"))
-		if ns != nil {
-			ns.fwd.detachFlush(a.Shard)
-		}
+		fwd.close(true)
 		_ = n.batch.flushThen(&ShardDone{Shard: a.Shard, Err: err.Error()})
 		if n.cfg.Obs != nil {
 			n.cfg.Obs.ShardsFailed.Inc()
 		}
 		return
 	}
-	_, _ = ns.sess.RunRange(ctx, a.Start, a.End, func(r fleet.Result) {
-		cd := CellDone{
-			Shard: a.Shard, Index: r.Cell.Index, Seed: r.Cell.Seed,
-			Events: r.Events, WireBytes: r.WireBytes, WireEncodeNS: r.WireEncodeNS,
-			Metrics: r.Metrics,
-		}
-		if r.Err != nil {
-			cd.Err = r.Err.Error()
-		}
-		n.batch.add(cd)
-		n.mu.Lock()
-		n.cellsDone++
-		n.mu.Unlock()
-		if n.cfg.Obs != nil {
-			n.cfg.Obs.CellsDone.Inc()
-		}
-	})
-	release()
 	if ctx.Err() != nil {
 		// Connection teardown cancelled the range mid-dispatch: cells may
 		// have been skipped, so a clean ShardDone here could race ahead of
@@ -632,16 +565,16 @@ func (n *Node) execute(ctx context.Context, a *Assign) {
 		// any cells we did deliver are deduplicated on the re-run. Spans
 		// are dropped for the same reason: the re-run records its own.
 		sp.End(icescope.StrAttr("outcome", "cancelled"))
-		ns.fwd.drop(a.Shard)
+		fwd.close(false)
 		return
 	}
 	// End the shard span (publishing its event), flush the spans it and
-	// its cells produced while this locator is still live, and only then
-	// retire the shard. Frame order is write order on TCP, so the
-	// coordinator injects every span of a shard before the ShardDone —
-	// and before the job can finish — arrives.
+	// its cells produced, and only then retire the shard. Frame order is
+	// write order on TCP, so the coordinator injects every span of a
+	// shard before the ShardDone — and before the job can finish —
+	// arrives.
 	sp.End(icescope.StrAttr("outcome", "done"), icescope.IntAttr("cells", a.End-a.Start))
-	ns.fwd.detachFlush(a.Shard)
+	fwd.close(true)
 	_ = n.batch.flushThen(&ShardDone{Shard: a.Shard})
 	if n.cfg.Obs != nil {
 		n.cfg.Obs.ShardsDone.Inc()
