@@ -6,7 +6,7 @@
 // Usage:
 //
 //	icenode -coord host:port [-name N] [-workers N] [-pprof host:port]
-//	        [-tracefile path] [-drain-timeout D]
+//	        [-drain-timeout D]
 //
 // The daemon re-dials with exponential backoff + jitter if the
 // coordinator is down or restarts, so nodes and coordinator can be
@@ -18,10 +18,8 @@
 //
 // -pprof starts a debug listener serving net/http/pprof profiles plus
 // the node's own /metrics (icenode_* counters and histograms in
-// Prometheus text format). -tracefile records an icescope span trace of
-// the whole process — dials, sessions, shards — and writes it on exit:
-// a .json suffix selects Chrome trace-event format (load it in
-// Perfetto), anything else the indented text tree.
+// Prometheus text format). The node records spans only for traced jobs,
+// and forwards them into the job's trace on the coordinator.
 package main
 
 import (
@@ -34,7 +32,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,7 +44,6 @@ func main() {
 	name := flag.String("name", "", "advertised node name (default: coordinator-assigned)")
 	workers := flag.Int("workers", runtime.NumCPU(), "local fleet pool width (advertised capacity)")
 	pprofAddr := flag.String("pprof", "", "debug listen address for net/http/pprof profiles and node /metrics (off unless set)")
-	traceFile := flag.String("tracefile", "", "write an icescope trace of this process on exit (.json = Chrome trace-event format, else text tree)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight shards on SIGTERM")
 	flag.Parse()
 	if *coord == "" {
@@ -73,12 +69,6 @@ func main() {
 		logf("icenode: pprof on %s", debugLn.Addr())
 	}
 
-	var tr *icescope.Trace
-	if *traceFile != "" {
-		tr = icescope.NewTrace("icenode")
-		defer writeTrace(tr, *traceFile, logf)
-	}
-
 	ctx, stop := context.WithCancel(context.Background())
 	node := icemesh.NewNode(icemesh.NodeConfig{
 		Coordinator: *coord,
@@ -86,7 +76,6 @@ func main() {
 		Workers:     *workers,
 		Logf:        logf,
 		Obs:         obs,
-		Trace:       tr,
 	})
 
 	sig := make(chan os.Signal, 1)
@@ -110,31 +99,10 @@ func main() {
 		err := node.Run(ctx)
 		if ctx.Err() != nil {
 			logf("icenode: exiting")
-			return // drained shutdown: exit 0 (deferred trace write runs)
+			return // drained shutdown: exit 0
 		}
 		if err != nil {
 			logf("icenode: connection lost: %v; re-dialing", err)
 		}
 	}
-}
-
-// writeTrace dumps the process trace to path on exit; the extension
-// picks the format (.json → Chrome trace events, else text tree).
-func writeTrace(tr *icescope.Trace, path string, logf func(string, ...any)) {
-	f, err := os.Create(path)
-	if err != nil {
-		logf("icenode: tracefile: %v", err)
-		return
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		err = tr.WriteChrome(f)
-	} else {
-		err = tr.WriteText(f)
-	}
-	if err != nil {
-		logf("icenode: tracefile: %v", err)
-		return
-	}
-	logf("icenode: trace written to %s", path)
 }

@@ -24,12 +24,6 @@ type Pool struct {
 type slot struct {
 	id      int
 	scratch Scratch // reused by every cell that holds the slot
-
-	// tr and buf remember the span buffer this slot last recorded into,
-	// so successive runs on one trace (a node's shards under its
-	// -tracefile) register one buffer per slot, not one per run.
-	tr  *icescope.Trace
-	buf *icescope.Buffer
 }
 
 // NewPool returns a pool of workers slots; <=0 means 1.
@@ -93,10 +87,7 @@ func (r Runner) runLocal(ctx context.Context, groups []group, deliver func(Resul
 			return nil
 		}
 		if bufs[sl.id] == nil {
-			if sl.tr != tr {
-				sl.tr, sl.buf = tr, tr.Buffer()
-			}
-			bufs[sl.id] = sl.buf
+			bufs[sl.id] = tr.Buffer()
 		}
 		return bufs[sl.id]
 	}

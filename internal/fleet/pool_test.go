@@ -178,20 +178,13 @@ func TestRunRangeRejectsBadRange(t *testing.T) {
 	}
 }
 
-// Cell spans record into one buffer per slot and trace: many one-cell
-// runs on one trace — a node's shards under its process-long -tracefile
-// trace — register no more buffers than the pool has slots.
+// Cell spans record into one buffer per slot: a traced run registers no
+// more buffers than the pool has slots, not one per cell.
 func TestPoolTraceBuffersPerSlot(t *testing.T) {
-	tr := icescope.NewTrace("node")
-	root := tr.Start(icescope.Span{}, "session")
-	runner := Runner{Pool: NewPool(2), Span: root}
+	tr := icescope.NewTrace("run")
+	root := tr.Start(icescope.Span{}, "run")
 	spec := mathSpec("spans", 5, 12)
-	for i := range spec.Cells {
-		if _, err := runner.RunRange(context.Background(), spec, i, i+1, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := runner.Run(spec); err != nil {
+	if _, err := (Runner{Pool: NewPool(2), Span: root}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -216,8 +209,8 @@ func TestPoolTraceBuffersPerSlot(t *testing.T) {
 			tids[ev.TID] = true
 		}
 	}
-	if cells != 2*spec.Cells {
-		t.Fatalf("trace holds %d cell spans, want %d", cells, 2*spec.Cells)
+	if cells != spec.Cells {
+		t.Fatalf("trace holds %d cell spans, want %d", cells, spec.Cells)
 	}
 	if len(tids) > 2 {
 		t.Fatalf("cell spans landed in %d buffers on a 2-slot pool, want at most 2", len(tids))

@@ -18,26 +18,23 @@ import (
 // Config sizes the coordinator.
 type Config struct {
 	Heartbeat     time.Duration // node beat interval advertised in Welcome; <=0 means 1s
-	NodeTimeout   time.Duration // silence before a node is presumed dead; <=0 means 4x Heartbeat
 	ShardCells    int           // cells per shard; <=0 means 2 (fine-grained streaming)
 	Window        int           // max in-flight shards per node; <=0 sizes from capacity (see windowLocked)
 	ShardDeadline time.Duration // re-queue a shard not finished by then; <=0 means never
-	MaxRetries    int           // re-assignments per shard before the job fails; <=0 means 3
 	Logf          func(format string, args ...any)
 }
+
+const (
+	missedBeats = 4 // heartbeats a node may miss before it is presumed dead
+	maxRetries  = 3 // re-assignments per shard before the job fails
+)
 
 func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
 	}
-	if c.NodeTimeout <= 0 {
-		c.NodeTimeout = 4 * c.Heartbeat
-	}
 	if c.ShardCells <= 0 {
 		c.ShardCells = 2
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -48,6 +45,10 @@ func (c Config) withDefaults() Config {
 // ErrNoNodes rejects work when the mesh has no live, non-draining
 // workers to run it on.
 var ErrNoNodes = errors.New("icemesh: no live worker nodes")
+
+// errClosed fails work submitted to, or still in flight on, a closed
+// coordinator.
+var errClosed = errors.New("icemesh: coordinator closed")
 
 // Coordinator owns the node registry and the shard queue: it accepts
 // node registrations over the mesh wire protocol, splits each job's
@@ -92,8 +93,8 @@ type meshMetrics struct {
 	jobsFailed     *icescope.Counter
 
 	// Span forwarding: frames received, spans injected into job traces,
-	// and frames dropped because their locator no longer mapped to a
-	// live traced job (the job finished or was re-assigned — benign).
+	// and frames dropped because their shard no longer belonged to a live
+	// traced job (the shard retired or the job finished — benign).
 	spanBatches      *icescope.Counter
 	spansForwarded   *icescope.Counter
 	spanBatchesStale *icescope.Counter
@@ -123,7 +124,7 @@ func newMeshMetrics(c *Coordinator) meshMetrics {
 	m.cellBatches = r.Counter("icemesh_cell_batches_total", "CellBatch frames received.")
 	m.spanBatches = r.Counter("icemesh_span_batches_total", "SpanBatch frames received from nodes.")
 	m.spansForwarded = r.Counter("icemesh_spans_forwarded_total", "Node spans injected into job traces.")
-	m.spanBatchesStale = r.Counter("icemesh_span_batches_stale_total", "SpanBatch frames dropped: locator no longer a live traced job.")
+	m.spanBatchesStale = r.Counter("icemesh_span_batches_stale_total", "SpanBatch frames dropped: their shard no longer belongs to a live traced job.")
 	r.GaugeFunc("icemesh_queue_depth", "Shards awaiting a node with window credit.",
 		func() float64 {
 			c.mu.Lock()
@@ -228,13 +229,12 @@ type meshJob struct {
 	span     icescope.Span // engine-side parent, propagated over RunRange's ctx
 
 	// Guarded by Coordinator.mu.
-	base      int // global index of seen[0]
-	seen      []bool
-	pending   int // shards not yet terminally done
-	finished  bool
-	failed    error
-	done      chan struct{}
-	nodeSpans map[string]icescope.Span // per-node umbrella for forwarded spans
+	base     int // global index of seen[0]
+	seen     []bool
+	pending  int // shards not yet terminally done
+	finished bool
+	failed   error
+	done     chan struct{}
 }
 
 func (j *meshJob) finish(err error) {
@@ -279,8 +279,17 @@ func (c *Coordinator) Close() {
 	}
 	c.mu.Unlock()
 	for _, n := range nodes {
-		c.nodeLost(n, errors.New("icemesh: coordinator closed"))
+		c.nodeLost(n, errClosed)
 	}
+	// Evictions fail the jobs with shards on the nodes. A shard still
+	// queued now can never run, since no node joins a closed coordinator,
+	// so its job fails too.
+	c.mu.Lock()
+	for _, sh := range c.pending {
+		sh.job.finish(errors.Join(ErrNoNodes, errClosed))
+	}
+	c.pending = nil
+	c.mu.Unlock()
 }
 
 // Name implements the serving layer's Backend: jobs dispatched here fan
@@ -370,7 +379,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	c.flush(sends)
 
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.NodeTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(missedBeats * c.cfg.Heartbeat))
 		m, err := ReadMessage(br)
 		if err != nil {
 			c.nodeLost(node, err)
@@ -393,7 +402,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		case *ShardDone:
 			c.onShardDone(node, v)
 		case *SpanBatch:
-			c.onSpanBatch(node, v)
+			c.onSpanBatch(v)
 		case *Drain:
 			c.cfg.Logf("icemesh: node %s draining: %s", node.name, v.Reason)
 			c.mu.Lock()
@@ -425,7 +434,7 @@ func (c *Coordinator) RunRange(ctx context.Context, scenario string, p fleet.Par
 	if c.closed {
 		c.mu.Unlock()
 		plan.End(icescope.StrAttr("outcome", "closed"))
-		return errors.New("icemesh: coordinator closed")
+		return errClosed
 	}
 	live := c.liveNodesLocked()
 	if len(live) == 0 {
@@ -690,17 +699,17 @@ func (c *Coordinator) onShardDone(node *meshNode, m *ShardDone) {
 }
 
 // onSpanBatch injects a node's forwarded spans into the owning job's
-// trace. The frame's Shard is a job locator — any assignment of the job
-// still active on the sending node — not an attribution claim; a stale
-// locator (job finished, shard re-assigned) drops the frame, which is
-// benign: spans are observability, and a finished job's trace is
-// already sealed. Node offsets are re-based onto the job trace's epoch
-// by comparing the node's trace clock at flush (NowNS) against ours
-// now; network latency skews every injected offset by the same one-way
-// delay, which is exactly the error bar a cross-node trace carries.
-// Injected spans publish live events, so a subscriber watching the
-// job's /events stream sees node spans mid-job.
-func (c *Coordinator) onSpanBatch(node *meshNode, m *SpanBatch) {
+// trace, directly under the job's engine span. The frame's Shard is the
+// assignment that recorded the spans; once that shard has retired or
+// its job has finished, the frame is dropped, which is benign: spans
+// are observability, and a finished job's trace is already sealed.
+// Node offsets are re-based onto the job trace's epoch by comparing the
+// node's trace clock at flush (NowNS) against ours now; network latency
+// skews every injected offset by the same one-way delay, which is
+// exactly the error bar a cross-node trace carries. Injected spans
+// publish live events, so a subscriber watching the job's /events
+// stream sees node spans mid-job.
+func (c *Coordinator) onSpanBatch(m *SpanBatch) {
 	c.met.spanBatches.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -715,14 +724,6 @@ func (c *Coordinator) onSpanBatch(node *meshNode, m *SpanBatch) {
 	if base < 0 {
 		base = 0
 	}
-	umbrella, ok := job.nodeSpans[node.name]
-	if !ok {
-		if job.nodeSpans == nil {
-			job.nodeSpans = map[string]icescope.Span{}
-		}
-		umbrella = job.span.Child("node " + node.name)
-		job.nodeSpans[node.name] = umbrella
-	}
 	for i := range m.Spans {
 		rec := &m.Spans[i]
 		var attrs []icescope.Attr
@@ -733,7 +734,7 @@ func (c *Coordinator) onSpanBatch(node *meshNode, m *SpanBatch) {
 				attrs = append(attrs, icescope.NumAttr(a.Key, a.Num))
 			}
 		}
-		tr.InjectSpan(umbrella, rec.Name, base+time.Duration(rec.StartNS), base+time.Duration(rec.EndNS), attrs...)
+		tr.InjectSpan(job.span, rec.Name, base+time.Duration(rec.StartNS), base+time.Duration(rec.EndNS), attrs...)
 	}
 	c.met.spansForwarded.Add(uint64(len(m.Spans)))
 }
@@ -791,7 +792,7 @@ func (c *Coordinator) requeueLocked(orphans []*meshShard, cause error) []assignm
 		}
 		sh.retries++
 		c.met.shardRetries.Inc()
-		if sh.retries > c.cfg.MaxRetries {
+		if sh.retries > maxRetries {
 			sh.job.finish(fmt.Errorf("icemesh: shard [%d,%d) failed after %d attempts: %w", sh.start, sh.end, sh.retries, cause))
 			delete(c.shards, sh.id)
 			continue
@@ -816,17 +817,10 @@ func (c *Coordinator) requeueLocked(orphans []*meshShard, cause error) []assignm
 }
 
 // releaseJob drops a finished job's remaining shard bookkeeping,
-// including anything still sitting on the queue, and seals the per-node
-// umbrella spans — RunRange defers it, so the umbrellas end before the
-// gateway finishes the job's trace and they appear in the terminal
-// export.
+// including anything still sitting on the queue.
 func (c *Coordinator) releaseJob(job *meshJob) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for name, um := range job.nodeSpans {
-		um.End(icescope.StrAttr("node", name))
-	}
-	job.nodeSpans = nil
 	for id, sh := range c.shards {
 		if sh.job != job {
 			continue

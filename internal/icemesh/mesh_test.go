@@ -2,6 +2,7 @@ package icemesh
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -279,6 +280,54 @@ func TestMeshNoNodesAndLocalFallback(t *testing.T) {
 	}
 	if len(res) != 3 || res[0].Metrics["seed"] != float64(sim.SubSeed(5, "hand-built", 0)) {
 		t.Fatalf("local fallback results wrong: %+v", res)
+	}
+}
+
+// Close fails every job in flight, including one whose shards all wait
+// on the queue: no node can join a closed coordinator to run them.
+func TestCoordinatorCloseFailsQueuedJobs(t *testing.T) {
+	seed := 9000 + killSeeds.Add(1)
+	coord, cancels := startMesh(t, Config{ShardCells: 1, Window: 1}, 1, 1)
+	// The node's gated cell outlives Close; cancel the node before the
+	// gate opens, so its Run ends without an error.
+	t.Cleanup(func() { cancels[0](); close(meshGate(seed)) })
+
+	// submit starts a job of cells gated cells and waits until the queue
+	// holds queued shards.
+	submit := func(cells, queued int) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			done <- coord.RunRange(context.Background(), "mesh-gated", fleet.Params{Seed: seed, Cells: cells}, 0, cells, func(fleet.Result) {})
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			coord.mu.Lock()
+			n := len(coord.pending)
+			coord.mu.Unlock()
+			if n == queued {
+				return done
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("queue holds %d shards, want %d", n, queued)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	a := submit(2, 1) // one shard on the node (window 1), one queued
+	b := submit(1, 2) // its only shard queued behind A's
+	coord.Close()
+	for _, job := range []struct {
+		name string
+		done <-chan error
+	}{{"A", a}, {"B", b}} {
+		select {
+		case err := <-job.done:
+			if !errors.Is(err, ErrNoNodes) {
+				t.Errorf("job %s after Close = %v, want ErrNoNodes", job.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("job %s still blocked 5s after Close", job.name)
+		}
 	}
 }
 

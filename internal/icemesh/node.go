@@ -17,26 +17,22 @@ import (
 
 // NodeConfig sizes one worker node.
 type NodeConfig struct {
-	Coordinator  string        // coordinator address (host:port)
-	Name         string        // advertised node name; "" lets the coordinator pick
-	Workers      int           // slots of each job's cell pool, advertised as capacity; <=0 means 1
-	DialRetry    Backoff       // re-dial policy (zero value = 100ms doubling to 5s)
-	DialAttempts int           // dial attempts before Run gives up; <=0 means 30
-	BatchCells   int           // CellDone entries coalesced per CellBatch frame; <=0 means 32
-	BatchFlush   time.Duration // max delay before a partial batch flushes; <=0 means 2ms
-	Logf         func(format string, args ...any)
+	Coordinator string // coordinator address (host:port)
+	Name        string // advertised node name; "" lets the coordinator pick
+	Workers     int    // slots of each job's cell pool, advertised as capacity; <=0 means 1
+	Logf        func(format string, args ...any)
 
 	// Obs, when non-nil, receives the node's serving metrics. The daemon
 	// registers the handles once (NewNodeObs) and reuses them across
 	// re-dials, so counters survive connection loss.
 	Obs *NodeObs
-
-	// Trace, when non-nil, records the node's session: dial/handshake,
-	// one span per executed shard, and per-cell fleet spans
-	// (cmd/icenode -tracefile). Purely observational — assignment
-	// execution and CellDone bytes are identical with tracing on or off.
-	Trace *icescope.Trace
 }
+
+const (
+	dialAttempts = 30                   // dials (zero Backoff: 100ms doubling to 5s) before Run gives up
+	batchCells   = 32                   // CellDone entries coalesced per CellBatch frame
+	batchFlush   = 2 * time.Millisecond // max delay before a partial cell or span batch flushes
+)
 
 // NodeObs bundles the worker node's icescope handles: how many shards
 // and cells it executed, its heartbeat cadence, and where its time goes
@@ -72,15 +68,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.DialAttempts <= 0 {
-		c.DialAttempts = 30
-	}
-	if c.BatchCells <= 0 {
-		c.BatchCells = 32
-	}
-	if c.BatchFlush <= 0 {
-		c.BatchFlush = 2 * time.Millisecond
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -101,9 +88,8 @@ type Node struct {
 	wbuf []byte
 
 	mu        sync.Mutex
-	name      string  // coordinator-assigned name, set after Welcome
-	dialMS    float64 // dial+handshake wall time, for forwarded traces
-	inflight  int     // assignments accepted and not yet finished
+	name      string // coordinator-assigned name, set after Welcome
+	inflight  int    // assignments accepted and not yet finished
 	cellsDone uint64
 	draining  bool
 
@@ -112,18 +98,13 @@ type Node struct {
 	jmu   sync.Mutex
 	jobs  map[string]*nodeJob
 	batch *cellBatcher
-
-	// sess parents this connection's shard spans; set in Run before
-	// assignments arrive, zero when the node is untraced.
-	sess icescope.Span
 }
 
 // nodeJob is one job's cell pool on this node, keyed by the assignment's
 // job parameters, so every shard of the job runs on it.
 type nodeJob struct {
-	pool     *fleet.Pool
-	refs     int  // assignments currently executing on it
-	replayed bool // a traced shard already sent the connection instants
+	pool *fleet.Pool
+	refs int // assignments currently executing on it
 }
 
 // NewNode returns an unconnected node; Run connects and serves.
@@ -151,15 +132,13 @@ func (n *Node) send(m any) error {
 }
 
 // cellBatcher coalesces per-cell deliveries into CellBatch frames,
-// bounded by count (BatchCells) and latency (BatchFlush). At shard size
+// bounded by count (batchCells) and latency (batchFlush). At shard size
 // 1 every cell would otherwise be its own framed write plus its own
 // coordinator lock acquisition; batching amortizes both without
 // changing content — the coordinator merges batch entries through the
 // exact same dedup path as singletons.
 type cellBatcher struct {
-	n    *Node
-	max  int
-	wait time.Duration
+	n *Node
 
 	mu    sync.Mutex // held across the wire write: batches leave in take order
 	buf   []CellDone
@@ -167,17 +146,17 @@ type cellBatcher struct {
 }
 
 // add queues one cell, flushing when the batch is full; a partial batch
-// is flushed by the timer within wait.
+// is flushed by the timer within batchFlush.
 func (b *cellBatcher) add(cd CellDone) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.buf = append(b.buf, cd)
-	if len(b.buf) >= b.max {
+	if len(b.buf) >= batchCells {
 		b.sendLocked()
 		return
 	}
 	if b.timer == nil {
-		b.timer = time.AfterFunc(b.wait, func() { _ = b.flushThen(nil) })
+		b.timer = time.AfterFunc(batchFlush, func() { _ = b.flushThen(nil) })
 	}
 }
 
@@ -213,7 +192,7 @@ func (b *cellBatcher) sendLocked() {
 }
 
 // spanBatchMax bounds how many completed spans coalesce into one
-// SpanBatch frame; the flush timer (BatchFlush, shared with the cell
+// SpanBatch frame; the flush timer (batchFlush, shared with the cell
 // batcher) bounds how stale a partial batch may go.
 const spanBatchMax = 64
 
@@ -264,7 +243,7 @@ func (f *spanForwarder) onEvent(ev icescope.SpanEvent) {
 		return
 	}
 	if f.timer == nil {
-		f.timer = time.AfterFunc(f.n.cfg.BatchFlush, func() {
+		f.timer = time.AfterFunc(batchFlush, func() {
 			f.mu.Lock()
 			defer f.mu.Unlock()
 			f.sendLocked()
@@ -332,9 +311,8 @@ func assignKey(a *Assign) string {
 // first use, plus a release for when the shard finishes. Making a pool
 // for a new job drops the pools of old jobs that no shard holds
 // (refs == 0), so the cache holds one pool per concurrently running job,
-// not one per job ever seen. replay is true for the job's first traced
-// shard here, which sends the connection instants.
-func (n *Node) jobFor(a *Assign) (j *nodeJob, replay bool, release func()) {
+// not one per job ever seen.
+func (n *Node) jobFor(a *Assign) (j *nodeJob, release func()) {
 	key := assignKey(a)
 	n.jmu.Lock()
 	defer n.jmu.Unlock()
@@ -348,11 +326,8 @@ func (n *Node) jobFor(a *Assign) (j *nodeJob, replay bool, release func()) {
 		j = &nodeJob{pool: fleet.NewPool(n.cfg.Workers)}
 		n.jobs[key] = j
 	}
-	if a.Trace && !j.replayed {
-		j.replayed, replay = true, true
-	}
 	j.refs++
-	return j, replay, func() {
+	return j, func() {
 		n.jmu.Lock()
 		j.refs--
 		n.jmu.Unlock()
@@ -364,8 +339,6 @@ func (n *Node) jobFor(a *Assign) (j *nodeJob, replay bool, release func()) {
 // is cancelled. A cleanly drained shutdown (Drain, then cancel) returns
 // nil; anything else returns the terminating error.
 func (n *Node) Run(ctx context.Context) error {
-	dialT0 := time.Now()
-	dialSp := n.cfg.Trace.Start(icescope.Span{}, "dial coordinator")
 	var conn net.Conn
 	dial := func() error {
 		c, err := (&net.Dialer{Timeout: 3 * time.Second}).DialContext(ctx, "tcp", n.cfg.Coordinator)
@@ -374,7 +347,7 @@ func (n *Node) Run(ctx context.Context) error {
 		}
 		return err
 	}
-	if err := Retry(ctx, n.cfg.DialAttempts, n.cfg.DialRetry, dial); err != nil {
+	if err := Retry(ctx, dialAttempts, Backoff{}, dial); err != nil {
 		return fmt.Errorf("icemesh: dialing coordinator %s: %w", n.cfg.Coordinator, err)
 	}
 	defer conn.Close()
@@ -397,11 +370,7 @@ func (n *Node) Run(ctx context.Context) error {
 	}
 	n.mu.Lock()
 	n.name = welcome.Node
-	n.dialMS = float64(time.Since(dialT0)) / float64(time.Millisecond)
 	n.mu.Unlock()
-	dialSp.End(icescope.StrAttr("node", welcome.Node))
-	n.sess = n.cfg.Trace.Start(icescope.Span{}, "session "+welcome.Node)
-	defer func() { n.sess.End(); n.sess = icescope.Span{} }()
 	beat := time.Duration(welcome.HeartbeatMS) * time.Millisecond
 	if beat <= 0 {
 		beat = time.Second
@@ -419,7 +388,7 @@ func (n *Node) Run(ctx context.Context) error {
 	defer stop()
 
 	n.jobs = map[string]*nodeJob{}
-	n.batch = &cellBatcher{n: n, max: n.cfg.BatchCells, wait: n.cfg.BatchFlush}
+	n.batch = &cellBatcher{n: n}
 	var workers sync.WaitGroup
 	workers.Add(1)
 	go func() { // heartbeats, independent of execution
@@ -491,30 +460,18 @@ func (n *Node) execute(ctx context.Context, a *Assign) {
 	if n.cfg.Obs != nil {
 		t0 = time.Now()
 	}
-	job, replay, release := n.jobFor(a)
+	job, release := n.jobFor(a)
 	defer release()
 	// A traced job's spans ride a forwarding trace of this assignment, so
-	// the coordinator's job trace shows this node's shards and cells. The
-	// local -tracefile session keeps untraced jobs' spans: one trace owns
-	// each span, never two.
-	parent := n.sess
+	// the coordinator's job trace shows this node's shard and cells. An
+	// untraced assignment records no spans.
 	var fwd *spanForwarder
+	var parent, sp icescope.Span
 	if a.Trace {
-		n.mu.Lock()
-		name, dialMS := n.name, n.dialMS
-		n.mu.Unlock()
+		name := n.Name()
 		fwd = &spanForwarder{n: n, tr: icescope.NewTrace("node " + name), shard: a.Shard}
 		fwd.tr.ForwardEvents(fwd.onEvent)
 		parent = fwd.tr.Start(icescope.Span{}, "node "+name) // never ended, so never forwarded
-		if replay {
-			// Replay connection context the job missed: how expensive this
-			// node's dial was, and that a session anchors its spans.
-			fwd.tr.Instant(parent, "dial coordinator", icescope.NumAttr("ms", dialMS))
-			fwd.tr.Instant(parent, "session "+name, icescope.StrAttr("node", name))
-		}
-	}
-	sp := icescope.Span{}
-	if parent.Active() {
 		sp = parent.Child(fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
 	}
 	spec, err := fleet.Build(a.Scenario, fleet.Params{

@@ -91,11 +91,10 @@ func TestMeshTraceDifferential(t *testing.T) {
 }
 
 // TestMeshForwardsNodeSpans pins the forwarding contract end to end: a
-// traced job on a 2-node mesh ends up with every node's dial, session,
-// shard, and cell spans in the job trace — grouped under per-node
-// umbrella spans — and a live subscriber sees node-originated span
-// events before the job's root closes, which is what the events
-// endpoint streams mid-job.
+// traced job on a 2-node mesh ends up with every node's shard and cell
+// spans in the job trace, each inside its parent's window, and a live
+// subscriber sees node-originated span events before the job's root
+// closes, which is what the events endpoint streams mid-job.
 func TestMeshForwardsNodeSpans(t *testing.T) {
 	coord, _ := startMesh(t, Config{ShardCells: 2}, 2, 2)
 
@@ -112,13 +111,15 @@ func TestMeshForwardsNodeSpans(t *testing.T) {
 	if _, err := (fleet.Runner{Workers: 2, Engine: coord, Span: root}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot before root.End(): anything seen now arrived mid-job.
-	var preTerminal int
+	// Drain before root.End(): anything seen now arrived mid-job.
+	var events []icescope.SpanEvent
+	preTerminal := 0
 drain:
 	for {
 		select {
 		case ev := <-live:
-			if ev.Name == "cell run" || strings.HasPrefix(ev.Name, "dial coordinator") {
+			events = append(events, ev)
+			if ev.Name == "cell run" {
 				preTerminal++
 			}
 		default:
@@ -127,23 +128,50 @@ drain:
 	}
 	root.End()
 	tr.CloseEvents()
+	for ev := range live {
+		events = append(events, ev)
+	}
 	if preTerminal == 0 {
 		t.Error("no node-originated span events reached the live stream before the job closed")
 	}
+	t.Logf("forwarded trace:\n%s", tr.TextString())
 
-	text := tr.TextString()
-	t.Logf("forwarded trace:\n%s", text)
-	for _, want := range []string{"dial coordinator", "session worker-", "shard", "cell run"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("job trace missing forwarded span %q", want)
+	done := map[icescope.SpanID]icescope.SpanEvent{} // completed spans
+	for _, ev := range events {
+		if ev.Kind != icescope.EventStart {
+			done[ev.Span] = ev
 		}
 	}
-	// Both nodes must have contributed an umbrella: work on 8 cells at
-	// shard grain 2 across a 2-node window always lands on both.
-	for _, node := range []string{"node worker-a", "node worker-b"} {
-		if !strings.Contains(text, node) {
-			t.Errorf("job trace missing umbrella %q — one node's spans never arrived", node)
+	cells := 0
+	nodeShards := map[string]bool{}    // "shard N [lo,hi)", forwarded
+	coordShards := map[string]string{} // "shard N [lo,hi)" -> node it ran on
+	for _, sp := range done {
+		if p, ok := done[sp.Parent]; sp.Parent != 0 && (!ok || sp.Start < p.Start || sp.End > p.End) {
+			t.Errorf("span %q [%v,%v] lies outside its parent %q [%v,%v]", sp.Name, sp.Start, sp.End, p.Name, p.Start, p.End)
 		}
+		switch f := strings.Fields(sp.Name); {
+		case sp.Name == "cell run":
+			cells++
+		case len(f) == 3 && f[0] == "shard":
+			nodeShards[sp.Name] = true
+		case len(f) == 4 && f[0] == "shard":
+			coordShards[strings.Join(f[:3], " ")] = f[3]
+		}
+	}
+	if cells != spec.Cells {
+		t.Errorf("job trace holds %d forwarded cell spans, want %d", cells, spec.Cells)
+	}
+	// Work on 8 cells at shard grain 2 across a 2-node window always lands
+	// on both nodes, and each shard's spans reach the job trace.
+	nodes := map[string]bool{}
+	for shard, node := range coordShards {
+		nodes[node] = true
+		if !nodeShards[shard] {
+			t.Errorf("coordinator span %q on %s has no forwarded node-side span", shard, node)
+		}
+	}
+	if len(nodes) != 2 {
+		t.Errorf("shards ran on %d nodes, want 2", len(nodes))
 	}
 	if coord.met.spanBatches.Value() == 0 {
 		t.Error("icemesh_span_batches_total = 0 after a traced mesh job")

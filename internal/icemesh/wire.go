@@ -139,13 +139,12 @@ type SpanRec struct {
 	Attrs   []SpanAttr
 }
 
-// SpanBatch carries completed node-side spans (dial, session, shard,
-// per-cell) to the coordinator for a traced job. Like CellBatch it is
-// size- and time-bounded on the sending side; Shard names any of the
-// job's still-active assignments (it locates the job, not the spans —
-// a node's session spans cover cells from many shards), and NowNS is
-// the node's trace clock at flush time, the re-basing anchor. An empty
-// batch is rejected on both ends.
+// SpanBatch carries completed node-side spans (one assignment's shard
+// span and its cells' spans) to the coordinator for a traced job. Like
+// CellBatch it is size- and time-bounded on the sending side; Shard is
+// the assignment whose forwarding trace recorded the spans, and NowNS
+// is the node's trace clock at flush time, the re-basing anchor. An
+// empty batch is rejected on both ends.
 type SpanBatch struct {
 	Shard uint64
 	NowNS uint64
