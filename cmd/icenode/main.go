@@ -1,7 +1,7 @@
 // Command icenode is a mesh worker daemon: it registers with an icemesh
 // coordinator (an icegated started with -mesh), advertises its cell
 // capacity, heartbeats, and executes assigned cell ranges on a local
-// fleet pool, streaming each cell's result back as it completes.
+// fleet pool, sending each range's results back when the range ends.
 //
 // Usage:
 //

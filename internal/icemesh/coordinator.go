@@ -142,31 +142,21 @@ func newMeshMetrics(c *Coordinator) meshMetrics {
 }
 
 // syncNodeGauges refreshes the per-node vectors from the registry at
-// scrape time.
+// scrape time. It sets them under c.mu, like nodeLost's delete, so a
+// node lost mid-scrape cannot have its series re-created after the
+// delete (the vectors' own locks never call back into the coordinator).
 func (c *Coordinator) syncNodeGauges() {
-	type nodeStat struct {
-		name      string
-		capacity  int
-		inflight  int
-		cellsDone uint64
-		perSec    float64
-	}
 	c.mu.Lock()
-	stats := make([]nodeStat, 0, len(c.nodes))
+	defer c.mu.Unlock()
 	for _, n := range c.nodes {
-		up := time.Since(n.joined).Seconds()
 		perSec := 0.0
-		if up > 0 {
+		if up := time.Since(n.joined).Seconds(); up > 0 {
 			perSec = float64(n.cellsDone) / up
 		}
-		stats = append(stats, nodeStat{n.name, n.capacity, len(n.inflight), n.cellsDone, perSec})
-	}
-	c.mu.Unlock()
-	for _, s := range stats {
-		c.met.nodeCapacity.With(s.name).Set(float64(s.capacity))
-		c.met.nodeInflight.With(s.name).Set(float64(s.inflight))
-		c.met.nodeCells.With(s.name).Set(float64(s.cellsDone))
-		c.met.nodeCellsPS.With(s.name).Set(s.perSec)
+		c.met.nodeCapacity.With(n.name).Set(float64(n.capacity))
+		c.met.nodeInflight.With(n.name).Set(float64(len(n.inflight)))
+		c.met.nodeCells.With(n.name).Set(float64(n.cellsDone))
+		c.met.nodeCellsPS.With(n.name).Set(perSec)
 	}
 }
 
@@ -614,9 +604,8 @@ func (c *Coordinator) liveNodesLocked() []*meshNode {
 	return out
 }
 
-// onCellBatch merges a node-side flush of many cells under a single lock
-// acquisition — the amortization that keeps shard size 1 from turning
-// every cell into a contended merge.
+// onCellBatch merges a frame of cells under one lock acquisition, not
+// one per cell.
 func (c *Coordinator) onCellBatch(node *meshNode, m *CellBatch) {
 	c.met.cellBatches.Inc()
 	c.mu.Lock()
@@ -704,7 +693,7 @@ func (c *Coordinator) onShardDone(node *meshNode, m *ShardDone) {
 // its job has finished, the frame is dropped, which is benign: spans
 // are observability, and a finished job's trace is already sealed.
 // Node offsets are re-based onto the job trace's epoch by comparing the
-// node's trace clock at flush (NowNS) against ours now; network latency
+// node's trace clock at send (NowNS) against ours now; network latency
 // skews every injected offset by the same one-way delay, which is
 // exactly the error bar a cross-node trace carries. Injected spans
 // publish live events, so a subscriber watching the job's /events

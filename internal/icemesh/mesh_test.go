@@ -1,6 +1,7 @@
 package icemesh
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -511,6 +512,106 @@ func TestNodeObsCountsEveryCell(t *testing.T) {
 		if got := h.Count(); got != ran {
 			t.Errorf("%s count = %d, want %d: one per cell the node ran", name, got, ran)
 		}
+	}
+}
+
+// A node sends each shard back from one goroutine once its range ends:
+// the shard's cells in index order and in full CellBatch frames, then
+// its spans when traced, then its ShardDone. A stand-in coordinator
+// assigns a traced and an untraced 40-cell shard to a two-worker node,
+// whose cells finish out of index order, and reads the frames.
+func TestNodeSendsShardInOrder(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	node := NewNode(NodeConfig{Coordinator: ln.Addr().String(), Workers: 2, Logf: t.Logf})
+	runErr := make(chan error, 1)
+	go func() { runErr <- node.Run(ctx) }()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(time.Minute))
+	br := bufio.NewReader(conn)
+	if m, err := ReadMessage(br); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(*Hello); !ok {
+		t.Fatalf("node opened with %T, want *Hello", m)
+	}
+	var wbuf []byte
+	send := func(m any) {
+		t.Helper()
+		if wbuf, err = WriteMessage(conn, wbuf, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(&Welcome{Node: "solo", HeartbeatMS: 1000})
+
+	const cells = 40
+	for _, sh := range []struct {
+		id     uint64
+		traced bool
+	}{{7, true}, {8, false}} {
+		send(&Assign{
+			Shard: sh.id, Scenario: fleet.ScenarioPCASupervised, Seed: 3,
+			Cells: cells, Start: 0, End: cells, Duration: 2 * sim.Minute, Trace: sh.traced,
+		})
+		next, cellFrames, spans := 0, 0, map[string]int{}
+	frames:
+		for {
+			m, err := ReadMessage(br)
+			if err != nil {
+				t.Fatalf("shard %d: %v", sh.id, err)
+			}
+			switch v := m.(type) {
+			case *Heartbeat:
+			case *CellBatch:
+				cellFrames++
+				if len(spans) > 0 {
+					t.Fatalf("shard %d: CellBatch after spans", sh.id)
+				}
+				for _, cd := range v.Cells {
+					if cd.Shard != sh.id || cd.Index != next || cd.Err != "" {
+						t.Fatalf("shard %d: got cell %d of shard %d (err %q), want cell %d", sh.id, cd.Index, cd.Shard, cd.Err, next)
+					}
+					next++
+				}
+			case *SpanBatch:
+				if v.Shard != sh.id {
+					t.Fatalf("shard %d: SpanBatch names shard %d", sh.id, v.Shard)
+				}
+				for _, rec := range v.Spans {
+					spans[rec.Name]++
+				}
+			case *ShardDone:
+				if v.Shard != sh.id || v.Err != "" {
+					t.Fatalf("shard %d: ShardDone %+v", sh.id, v)
+				}
+				break frames
+			default:
+				t.Fatalf("shard %d: unexpected %T", sh.id, m)
+			}
+		}
+		if next != cells || cellFrames != 2 { // 32 + 8
+			t.Errorf("shard %d: %d cells in %d CellBatch frames, want %d in 2", sh.id, next, cellFrames, cells)
+		}
+		want := map[string]int{}
+		if sh.traced {
+			want = map[string]int{fmt.Sprintf("shard %d [0,%d)", sh.id, cells): 1, "cell run": cells}
+		}
+		if fmt.Sprint(spans) != fmt.Sprint(want) {
+			t.Errorf("shard %d: sent spans %v, want %v", sh.id, spans, want)
+		}
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Errorf("node Run after cancel = %v, want nil", err)
 	}
 }
 

@@ -29,9 +29,9 @@ type NodeConfig struct {
 }
 
 const (
-	dialAttempts = 30                   // dials (zero Backoff: 100ms doubling to 5s) before Run gives up
-	batchCells   = 32                   // CellDone entries coalesced per CellBatch frame
-	batchFlush   = 2 * time.Millisecond // max delay before a partial cell or span batch flushes
+	dialAttempts = 30 // dials (zero Backoff: 100ms doubling to 5s) before Run gives up
+	batchCells   = 32 // CellDone entries per CellBatch frame
+	batchSpans   = 64 // SpanRec entries per SpanBatch frame
 )
 
 // NodeObs bundles the worker node's icescope handles: how many shards
@@ -52,7 +52,7 @@ func NewNodeObs(reg *icescope.Registry) *NodeObs {
 	return &NodeObs{
 		ShardsDone:   reg.Counter("icenode_shards_done_total", "Shard assignments executed to completion."),
 		ShardsFailed: reg.Counter("icenode_shards_failed_total", "Shard assignments that failed at build or range validation."),
-		CellsDone:    reg.Counter("icenode_cells_done_total", "Cells executed and streamed back."),
+		CellsDone:    reg.Counter("icenode_cells_done_total", "Cells executed and sent back."),
 		Heartbeats:   reg.Counter("icenode_heartbeats_total", "Heartbeats sent to the coordinator."),
 		ShardSeconds: reg.Histogram("icenode_shard_seconds", "Wall time executing one shard assignment.", nil),
 		Fleet: &fleet.Obs{
@@ -75,11 +75,12 @@ func (c NodeConfig) withDefaults() NodeConfig {
 }
 
 // Node is one worker: it registers with the coordinator, heartbeats,
-// executes assigned cell ranges, and streams results back in CellBatch
-// frames. Assignments within the coordinator-granted credit window
-// execute concurrently. Each job's shards share one fleet pool of
-// Workers slots, so no job runs more than Workers cells at once here,
-// while shards of other jobs run on their own pools.
+// executes assigned cell ranges, and sends each range's results back in
+// CellBatch frames once the range ends. Assignments within the
+// coordinator-granted credit window execute concurrently. Each job's
+// shards share one fleet pool of Workers slots, so no job runs more
+// than Workers cells at once here, while shards of other jobs run on
+// their own pools.
 type Node struct {
 	cfg NodeConfig
 
@@ -93,11 +94,9 @@ type Node struct {
 	cellsDone uint64
 	draining  bool
 
-	// jmu guards the per-job pool cache; batch coalesces outgoing cell
-	// deliveries. Both are rebuilt per Run (per connection).
-	jmu   sync.Mutex
-	jobs  map[string]*nodeJob
-	batch *cellBatcher
+	// jmu guards the per-job pool cache, rebuilt per Run (per connection).
+	jmu  sync.Mutex
+	jobs map[string]*nodeJob
 }
 
 // nodeJob is one job's cell pool on this node, keyed by the assignment's
@@ -129,164 +128,6 @@ func (n *Node) send(m any) error {
 	buf, err := WriteMessage(n.conn, n.wbuf, m)
 	n.wbuf = buf
 	return err
-}
-
-// cellBatcher coalesces per-cell deliveries into CellBatch frames,
-// bounded by count (batchCells) and latency (batchFlush). At shard size
-// 1 every cell would otherwise be its own framed write plus its own
-// coordinator lock acquisition; batching amortizes both without
-// changing content — the coordinator merges batch entries through the
-// exact same dedup path as singletons.
-type cellBatcher struct {
-	n *Node
-
-	mu    sync.Mutex // held across the wire write: batches leave in take order
-	buf   []CellDone
-	timer *time.Timer
-}
-
-// add queues one cell, flushing when the batch is full; a partial batch
-// is flushed by the timer within batchFlush.
-func (b *cellBatcher) add(cd CellDone) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.buf = append(b.buf, cd)
-	if len(b.buf) >= batchCells {
-		b.sendLocked()
-		return
-	}
-	if b.timer == nil {
-		b.timer = time.AfterFunc(batchFlush, func() { _ = b.flushThen(nil) })
-	}
-}
-
-// flushThen drains the pending batch and then — atomically with the
-// drain — sends m. That atomicity is the ordering seam ShardDone needs:
-// frame order is write order on TCP, so the coordinator has merged every
-// cell of a shard before the ShardDone that retires it arrives.
-func (b *cellBatcher) flushThen(m any) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sendLocked()
-	if m != nil {
-		return b.n.send(m)
-	}
-	return nil
-}
-
-// sendLocked writes the pending batch, if any. Callers hold b.mu.
-func (b *cellBatcher) sendLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	if len(b.buf) == 0 {
-		return
-	}
-	batch := b.buf
-	b.buf = nil
-	// Send errors are deliberately dropped: a dead connection surfaces
-	// in Run's read loop, and the coordinator re-queues whatever this
-	// node never delivered.
-	_ = b.n.send(&CellBatch{Cells: batch})
-}
-
-// spanBatchMax bounds how many completed spans coalesce into one
-// SpanBatch frame; the flush timer (batchFlush, shared with the cell
-// batcher) bounds how stale a partial batch may go.
-const spanBatchMax = 64
-
-// spanForwarder batches one traced assignment's completed spans into
-// SpanBatch frames stamped with its shard. It is fed synchronously by
-// its forwarding trace's event plane (ForwardEvents), so by the time a
-// cell's CellDone is batched on the same goroutine, the cell's span is
-// already buffered here — and close(true) before ShardDone means it is
-// already on the wire before the shard retires. Spans carry trace-clock
-// offsets; NowNS lets the coordinator re-base them onto the job trace's
-// epoch.
-type spanForwarder struct {
-	n     *Node
-	tr    *icescope.Trace // the assignment's forwarding trace (NowNS source)
-	shard uint64          // the assignment, named on every frame
-
-	mu     sync.Mutex // held across the wire write, like cellBatcher
-	buf    []SpanRec
-	timer  *time.Timer
-	closed bool // the shard has retired: later spans are dropped
-}
-
-// onEvent converts completed spans (ends and instants; starts carry no
-// duration) into wire records. Runs on whatever goroutine ended the
-// span.
-func (f *spanForwarder) onEvent(ev icescope.SpanEvent) {
-	if ev.Kind == icescope.EventStart {
-		return
-	}
-	rec := SpanRec{Name: ev.Name, StartNS: uint64(ev.Start), EndNS: uint64(ev.End)}
-	for _, a := range ev.Attrs {
-		wa := SpanAttr{Key: a.Key, IsStr: a.IsStr()}
-		if wa.IsStr {
-			wa.Str = a.Str
-		} else {
-			wa.Num = a.Num
-		}
-		rec.Attrs = append(rec.Attrs, wa)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.buf = append(f.buf, rec)
-	if len(f.buf) >= spanBatchMax {
-		f.sendLocked()
-		return
-	}
-	if f.timer == nil {
-		f.timer = time.AfterFunc(batchFlush, func() {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			f.sendLocked()
-		})
-	}
-}
-
-// close retires the forwarder; nil-safe. With flush it first writes
-// everything pending — the completed path, right before ShardDone.
-// Without, pending spans are dropped: the cancelled path, where sending
-// could race the coordinator's eviction and double-record spans for
-// cells that will re-run elsewhere. Either way later spans are dropped.
-func (f *spanForwarder) close(flush bool) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if flush {
-		f.sendLocked()
-	}
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
-	f.buf, f.closed = nil, true
-}
-
-// sendLocked writes the pending spans as one frame. Callers hold f.mu.
-func (f *spanForwarder) sendLocked() {
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
-	if f.closed || len(f.buf) == 0 {
-		return
-	}
-	spans := f.buf
-	f.buf = nil
-	// Send errors are dropped for the same reason as cell batches: a dead
-	// connection surfaces in Run's read loop, and spans are observability,
-	// not results — nothing re-queues them.
-	_ = f.n.send(&SpanBatch{Shard: f.shard, NowNS: uint64(f.tr.Now()), Spans: spans})
 }
 
 // assignKey identifies the job a shard belongs to by its rebuild
@@ -388,7 +229,6 @@ func (n *Node) Run(ctx context.Context) error {
 	defer stop()
 
 	n.jobs = map[string]*nodeJob{}
-	n.batch = &cellBatcher{n: n}
 	var workers sync.WaitGroup
 	workers.Add(1)
 	go func() { // heartbeats, independent of execution
@@ -442,7 +282,6 @@ func (n *Node) Run(ctx context.Context) error {
 		}
 	}
 	workers.Wait()
-	_ = n.batch.flushThen(nil) // stop the flush timer; a send would fail anyway
 
 	if ctx.Err() != nil || n.isDraining() {
 		return nil // orderly shutdown
@@ -450,11 +289,11 @@ func (n *Node) Run(ctx context.Context) error {
 	return readErr
 }
 
-// execute runs one assigned range on its job's pool and streams results
-// back through the batcher. Cell-level failures ride their CellBatch
-// entry (matching local fleet semantics, where a bad cell doesn't kill
-// the ensemble); only range-level failures — an unknown scenario, an
-// impossible range — fail the shard.
+// execute runs one assigned range on its job's pool and sends its
+// results back once the range ends (sendShard). Cell-level failures
+// ride their CellBatch entry (matching local fleet semantics, where a
+// bad cell doesn't kill the ensemble); only range-level failures — an
+// unknown scenario, an impossible range — fail the shard.
 func (n *Node) execute(ctx context.Context, a *Assign) {
 	var t0 time.Time
 	if n.cfg.Obs != nil {
@@ -462,17 +301,14 @@ func (n *Node) execute(ctx context.Context, a *Assign) {
 	}
 	job, release := n.jobFor(a)
 	defer release()
-	// A traced job's spans ride a forwarding trace of this assignment, so
-	// the coordinator's job trace shows this node's shard and cells. An
-	// untraced assignment records no spans.
-	var fwd *spanForwarder
-	var parent, sp icescope.Span
+	// A traced job's spans are recorded on a trace of this assignment and
+	// sent with its results, so the coordinator's job trace shows this
+	// node's shard and cells. An untraced assignment records no spans.
+	var tr *icescope.Trace
+	var sp icescope.Span
 	if a.Trace {
-		name := n.Name()
-		fwd = &spanForwarder{n: n, tr: icescope.NewTrace("node " + name), shard: a.Shard}
-		fwd.tr.ForwardEvents(fwd.onEvent)
-		parent = fwd.tr.Start(icescope.Span{}, "node "+name) // never ended, so never forwarded
-		sp = parent.Child(fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
+		tr = icescope.NewTrace("node " + n.Name())
+		sp = tr.Start(icescope.Span{}, fmt.Sprintf("shard %d [%d,%d)", a.Shard, a.Start, a.End))
 	}
 	spec, err := fleet.Build(a.Scenario, fleet.Params{
 		Seed:     a.Seed,
@@ -482,33 +318,16 @@ func (n *Node) execute(ctx context.Context, a *Assign) {
 	})
 	var res []fleet.Result
 	if err == nil {
-		runner := fleet.Runner{Pool: job.pool, Span: parent}
+		runner := fleet.Runner{Pool: job.pool, Span: sp}
 		if n.cfg.Obs != nil {
 			runner.Obs = n.cfg.Obs.Fleet
 		}
-		res, err = runner.RunRange(ctx, spec, a.Start, a.End, func(r fleet.Result) {
-			cd := CellDone{
-				Shard: a.Shard, Index: r.Cell.Index, Seed: r.Cell.Seed,
-				Events: r.Events, WireBytes: r.WireBytes, WireEncodeNS: r.WireEncodeNS,
-				Metrics: r.Metrics,
-			}
-			if r.Err != nil {
-				cd.Err = r.Err.Error()
-			}
-			n.batch.add(cd)
-			n.mu.Lock()
-			n.cellsDone++
-			n.mu.Unlock()
-			if n.cfg.Obs != nil {
-				n.cfg.Obs.CellsDone.Inc()
-			}
-		})
+		res, err = runner.RunRange(ctx, spec, a.Start, a.End, nil)
 	}
 	if res == nil {
 		// The job or the range could not run at all, so no cell ran.
 		sp.End(icescope.StrAttr("outcome", "failed"))
-		fwd.close(true)
-		_ = n.batch.flushThen(&ShardDone{Shard: a.Shard, Err: err.Error()})
+		n.sendShard(a, nil, tr, err.Error())
 		if n.cfg.Obs != nil {
 			n.cfg.Obs.ShardsFailed.Inc()
 		}
@@ -519,24 +338,60 @@ func (n *Node) execute(ctx context.Context, a *Assign) {
 		// have been skipped, so a clean ShardDone here could race ahead of
 		// the coordinator's eviction and retire the shard with holes in
 		// it. Send nothing — eviction re-queues everything we held, and
-		// any cells we did deliver are deduplicated on the re-run. Spans
-		// are dropped for the same reason: the re-run records its own.
-		sp.End(icescope.StrAttr("outcome", "cancelled"))
-		fwd.close(false)
+		// the re-run records its own cells and spans.
 		return
 	}
-	// End the shard span (publishing its event), flush the spans it and
-	// its cells produced, and only then retire the shard. Frame order is
-	// write order on TCP, so the coordinator injects every span of a
-	// shard before the ShardDone — and before the job can finish —
-	// arrives.
 	sp.End(icescope.StrAttr("outcome", "done"), icescope.IntAttr("cells", a.End-a.Start))
-	fwd.close(true)
-	_ = n.batch.flushThen(&ShardDone{Shard: a.Shard})
+	n.sendShard(a, res, tr, "")
+	n.mu.Lock()
+	n.cellsDone += uint64(len(res))
+	n.mu.Unlock()
 	if n.cfg.Obs != nil {
+		n.cfg.Obs.CellsDone.Add(uint64(len(res)))
 		n.cfg.Obs.ShardsDone.Inc()
 		n.cfg.Obs.ShardSeconds.Observe(time.Since(t0).Seconds())
 	}
+}
+
+// sendShard writes one ended shard back: its cells in range order, then
+// the spans of its trace (nil when untraced), then the ShardDone that
+// retires it, carrying errMsg for a range that could not run. Frame
+// order is write order on TCP, so the coordinator has merged every cell
+// and injected every span of the shard before the ShardDone — and the
+// end of the job — arrives. Send errors are dropped: a dead connection
+// surfaces in Run's read loop, and the coordinator re-queues whatever
+// this node never delivered.
+func (n *Node) sendShard(a *Assign, res []fleet.Result, tr *icescope.Trace, errMsg string) {
+	for lo := 0; lo < len(res); lo += batchCells {
+		chunk := res[lo:min(lo+batchCells, len(res))]
+		cells := make([]CellDone, len(chunk))
+		for i, r := range chunk {
+			cells[i] = CellDone{
+				Shard: a.Shard, Index: r.Cell.Index, Seed: r.Cell.Seed,
+				Events: r.Events, WireBytes: r.WireBytes, WireEncodeNS: r.WireEncodeNS,
+				Metrics: r.Metrics,
+			}
+			if r.Err != nil {
+				cells[i].Err = r.Err.Error()
+			}
+		}
+		_ = n.send(&CellBatch{Cells: cells})
+	}
+	// Spans carry trace-clock offsets; NowNS lets the coordinator re-base
+	// them onto the job trace's epoch.
+	spans := tr.Spans()
+	for lo := 0; lo < len(spans); lo += batchSpans {
+		chunk := spans[lo:min(lo+batchSpans, len(spans))]
+		recs := make([]SpanRec, len(chunk))
+		for i, ev := range chunk {
+			recs[i] = SpanRec{Name: ev.Name, StartNS: uint64(ev.Start), EndNS: uint64(ev.End)}
+			for _, at := range ev.Attrs {
+				recs[i].Attrs = append(recs[i].Attrs, SpanAttr{Key: at.Key, Str: at.Str, Num: at.Num, IsStr: at.IsStr()})
+			}
+		}
+		_ = n.send(&SpanBatch{Shard: a.Shard, NowNS: uint64(tr.Now()), Spans: recs})
+	}
+	_ = n.send(&ShardDone{Shard: a.Shard, Err: errMsg})
 }
 
 func (n *Node) isDraining() bool {

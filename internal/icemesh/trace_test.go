@@ -2,6 +2,9 @@ package icemesh
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -262,5 +265,62 @@ func TestNodeLossMetricsStayCorrect(t *testing.T) {
 	if !strings.Contains(text, `icemesh_node_cells_total{node="worker-b"} `+
 		"6\n") {
 		t.Errorf("survivor's cell gauge wrong:\n%s", text)
+	}
+}
+
+// A scrape that races a node loss must not re-create the lost node's
+// per-node series after nodeLost deleted them: nothing would delete
+// them again. Thousands of registered nodes are lost one by one while
+// another goroutine scrapes in a loop.
+func TestNodeLossLeavesNoGhostGauges(t *testing.T) {
+	coord := NewCoordinator(Config{})
+	t.Cleanup(coord.Close)
+	const nodes = 3000
+	lost := make([]*meshNode, nodes)
+	coord.mu.Lock()
+	for i := range lost {
+		conn, peer := net.Pipe()
+		peer.Close()
+		n := &meshNode{
+			name: fmt.Sprintf("ghost-%d", i), capacity: 1, conn: conn,
+			inflight: map[uint64]*meshShard{}, joined: time.Now(),
+		}
+		coord.nodes[n.name] = n
+		lost[i] = n
+	}
+	coord.mu.Unlock()
+
+	scraped := make(chan struct{}) // closed after the first scrape
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			coord.MetricsText()
+			if i == 0 {
+				close(scraped)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-scraped
+	for _, n := range lost {
+		coord.nodeLost(n, errors.New("gone"))
+	}
+	close(stop)
+	<-done
+
+	ghosts := 0
+	for _, line := range strings.Split(coord.MetricsText(), "\n") {
+		if strings.Contains(line, `node="ghost-`) {
+			ghosts++
+		}
+	}
+	if ghosts > 0 {
+		t.Errorf("%d per-node series of lost nodes remain on /metrics", ghosts)
 	}
 }

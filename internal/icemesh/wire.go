@@ -32,9 +32,10 @@ import (
 // layout is refused rather than misread.
 const MeshV2 = 0x02
 
-// MaxFrame bounds one RPC payload. Frames carry control metadata and one
-// cell's metric map at most, so a megabyte is generous; anything larger
-// is a corrupt or hostile stream and kills the connection.
+// MaxFrame bounds one RPC payload. Frames carry control metadata and at
+// most 32 cells' metric maps or 64 spans, so a megabyte is generous;
+// anything larger is a corrupt or hostile stream and kills the
+// connection.
 const MaxFrame = 1 << 20
 
 // Message type codes (payload offset 1).
@@ -107,13 +108,12 @@ type CellDone struct {
 	Metrics      map[string]float64
 }
 
-// CellBatch carries cell results, the only frame that does. With
-// streaming fine-grained shards a frame per cell (header + syscall per
-// cell) would dominate the wire, so nodes coalesce deliveries — size-
-// and time-bounded — into one batch per flush. Entries may mix shards;
-// order within a batch is completion order. An empty batch carries no
-// information and is rejected on both ends, so every accepted frame has
-// one canonical encoding.
+// CellBatch carries cell results, the only frame that does. A node
+// sends one shard's cells per frame, up to 32, in index order, once the
+// shard ends, so fine-grained shards do not pay a frame (header +
+// syscall) per cell; the coordinator accepts any mix of shards and any
+// order. An empty batch carries no information and is rejected on both
+// ends, so every accepted frame has one canonical encoding.
 type CellBatch struct {
 	Cells []CellDone
 }
@@ -140,11 +140,11 @@ type SpanRec struct {
 }
 
 // SpanBatch carries completed node-side spans (one assignment's shard
-// span and its cells' spans) to the coordinator for a traced job. Like
-// CellBatch it is size- and time-bounded on the sending side; Shard is
-// the assignment whose forwarding trace recorded the spans, and NowNS
-// is the node's trace clock at flush time, the re-basing anchor. An
-// empty batch is rejected on both ends.
+// span and its cells' spans) to the coordinator for a traced job. A
+// node sends them, up to 64 per frame, after the shard's cells and
+// before its ShardDone; Shard is the assignment whose trace recorded
+// the spans, and NowNS is the node's trace clock at send time, the
+// re-basing anchor. An empty batch is rejected on both ends.
 type SpanBatch struct {
 	Shard uint64
 	NowNS uint64

@@ -58,7 +58,6 @@ type eventLog struct {
 	seq     uint64
 	log     []SpanEvent
 	subs    []chan SpanEvent
-	forward func(SpanEvent) // ForwardEvents mode: no retention, no subscribers
 	closed  bool
 	dropped uint64
 }
@@ -77,20 +76,6 @@ func (t *Trace) StreamEvents(max int) {
 		max = 4096
 	}
 	t.events = &eventLog{max: max}
-}
-
-// ForwardEvents arms the event plane in forward-only mode: fn receives
-// every published event synchronously on the publishing goroutine, and
-// nothing is retained for replay — so arbitrarily long traces forward
-// with memory bounded by the consumer's own flush cadence, never the
-// replay bound. SubscribeEvents on a forward-only trace behaves as if
-// the plane were unarmed. The mesh node uses this to ship span batches.
-// Must be called before recording begins.
-func (t *Trace) ForwardEvents(fn func(SpanEvent)) {
-	if t == nil || fn == nil {
-		return
-	}
-	t.events = &eventLog{forward: fn}
 }
 
 // EventsArmed reports whether StreamEvents armed the live plane.
@@ -114,7 +99,7 @@ func (t *Trace) EventsDropped() uint64 {
 // plane is already closed or was never armed. cancel detaches the
 // subscriber early (idempotent, never required).
 func (t *Trace) SubscribeEvents() (replay []SpanEvent, live <-chan SpanEvent, cancel func()) {
-	if t == nil || t.events == nil || t.events.forward != nil {
+	if t == nil || t.events == nil {
 		ch := make(chan SpanEvent)
 		close(ch)
 		return nil, ch, func() {}
@@ -161,40 +146,30 @@ func (t *Trace) CloseEvents() {
 	l.subs = nil
 }
 
-// publish appends the event to the log and fans it out. The event-log
-// mutex bounds the critical section; the ForwardEvents callback runs
-// outside it (still on the publishing goroutine, so per-goroutine order
-// holds).
+// publish appends the event to the log and fans it out, all under the
+// event-log mutex, so every subscriber sees the trace's one Seq order.
 func (t *Trace) publish(ev SpanEvent) {
 	if t == nil || t.events == nil {
 		return
 	}
 	l := t.events
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return
 	}
-	if l.forward == nil && len(l.log) >= l.max {
+	if len(l.log) >= l.max {
 		l.dropped++
-		l.mu.Unlock()
 		return
 	}
 	l.seq++
 	ev.Seq = l.seq
-	if l.forward == nil {
-		l.log = append(l.log, ev)
-		for _, ch := range l.subs {
-			// Cannot block: the channel is buffered to the log bound and
-			// every send corresponds to a log append after the subscriber's
-			// replay snapshot.
-			ch <- ev
-		}
-	}
-	fn := l.forward
-	l.mu.Unlock()
-	if fn != nil {
-		fn(ev)
+	l.log = append(l.log, ev)
+	for _, ch := range l.subs {
+		// Cannot block: the channel is buffered to the log bound and
+		// every send corresponds to a log append after the subscriber's
+		// replay snapshot.
+		ch <- ev
 	}
 }
 

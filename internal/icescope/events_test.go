@@ -366,42 +366,3 @@ func TestSpanEventKindString(t *testing.T) {
 		}
 	}
 }
-
-// ForwardEvents is the node-side arming: every event reaches the
-// callback with strictly increasing Seq, nothing is retained (no replay,
-// no bound, no drops), and SubscribeEvents behaves as if unarmed.
-func TestForwardEvents(t *testing.T) {
-	tr := NewTrace("fwd")
-	var got []SpanEvent
-	tr.ForwardEvents(func(ev SpanEvent) { got = append(got, ev) })
-	if !tr.EventsArmed() {
-		t.Fatal("ForwardEvents did not arm the event plane")
-	}
-	root := tr.Start(Span{}, "root")
-	// Far more events than the default StreamEvents bound: forward-only
-	// mode must not drop any of them.
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tr.Instant(root, "tick")
-	}
-	root.End()
-	if want := n + 2; len(got) != want { // root start + ticks + root end
-		t.Fatalf("callback saw %d events, want %d", len(got), want)
-	}
-	for i, ev := range got {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d", i, ev.Seq)
-		}
-	}
-	if tr.EventsDropped() != 0 {
-		t.Fatalf("forward-only mode counted %d drops", tr.EventsDropped())
-	}
-	replay, live, cancel := tr.SubscribeEvents()
-	if replay != nil {
-		t.Fatalf("forward-only trace replayed %d events to a subscriber", len(replay))
-	}
-	if _, ok := <-live; ok {
-		t.Fatal("forward-only subscriber channel not pre-closed")
-	}
-	cancel()
-}

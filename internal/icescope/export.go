@@ -176,3 +176,27 @@ func (t *Trace) TextString() string {
 	_ = t.WriteText(&b)
 	return b.String()
 }
+
+// Spans returns every recorded span as a completed-span event: an
+// EventInstant for a zero-width marker (as WriteText and WriteChrome
+// read them), an EventEnd otherwise. Spans never ended or dropped over
+// the cap are absent, and Seq is zero: nothing is published. Snapshot
+// rules apply: call only after the traced work has completed.
+func (t *Trace) Spans() []SpanEvent {
+	if t == nil {
+		return nil
+	}
+	spans := t.snapshot()
+	out := make([]SpanEvent, len(spans))
+	for i, sp := range spans {
+		kind := EventEnd
+		if sp.end == sp.start {
+			kind = EventInstant
+		}
+		out[i] = SpanEvent{
+			Kind: kind, Span: sp.id, Parent: sp.parent, Tid: sp.tid,
+			Name: sp.name, Start: sp.start, End: sp.end, Attrs: sp.attrs,
+		}
+	}
+	return out
+}

@@ -199,3 +199,59 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("coverage out of range: %v", cov)
 	}
 }
+
+// Spans lists every recorded span of both planes as a completed-span
+// event with its attributes; a span never ended, or dropped over the
+// cap, is absent.
+func TestSpans(t *testing.T) {
+	if got := (*Trace)(nil).Spans(); got != nil {
+		t.Fatalf("nil trace listed %d spans", len(got))
+	}
+	tr := NewTrace("spans")
+	tr.SetMaxSpans(3)
+	root := tr.Start(Span{}, "root") // never ended
+	ctl := root.Child("ctl")
+	ctl.End(StrAttr("outcome", "done"))
+	cell := tr.Buffer().Start(ctl, "cell")
+	cell.End(IntAttr("cells", 2))
+	tr.Instant(root, "mark", StrAttr("how", "test"))
+	tr.Start(root, "over").End() // the fourth recorded span: over the cap
+
+	type want struct {
+		parent SpanID
+		tid    int32
+		attr   Attr
+	}
+	wants := map[string]want{
+		"ctl":  {root.ID(), 0, StrAttr("outcome", "done")},
+		"cell": {ctl.ID(), 1, IntAttr("cells", 2)},
+		"mark": {root.ID(), 0, StrAttr("how", "test")},
+	}
+	got := tr.Spans()
+	if len(got) != len(wants) {
+		t.Fatalf("Spans listed %d spans, want %d: %+v", len(got), len(wants), got)
+	}
+	for _, ev := range got {
+		w, ok := wants[ev.Name]
+		if !ok {
+			t.Errorf("Spans listed %q, which was never recorded", ev.Name)
+			continue
+		}
+		delete(wants, ev.Name)
+		if ev.Parent != w.parent || ev.Tid != w.tid || ev.Seq != 0 {
+			t.Errorf("%s: parent %d tid %d seq %d, want parent %d tid %d seq 0", ev.Name, ev.Parent, ev.Tid, ev.Seq, w.parent, w.tid)
+		}
+		if len(ev.Attrs) != 1 || ev.Attrs[0] != w.attr {
+			t.Errorf("%s: attrs %+v, want [%+v]", ev.Name, ev.Attrs, w.attr)
+		}
+		if ev.End < ev.Start || (ev.Kind == EventInstant) != (ev.End == ev.Start) || (ev.Kind != EventInstant && ev.Kind != EventEnd) {
+			t.Errorf("%s: kind %s over [%v, %v]", ev.Name, ev.Kind, ev.Start, ev.End)
+		}
+		if ev.Name == "mark" && ev.Kind != EventInstant {
+			t.Errorf("instant listed as %s", ev.Kind)
+		}
+	}
+	if tr.Dropped() != 1 {
+		t.Errorf("Dropped() = %d, want 1", tr.Dropped())
+	}
+}
