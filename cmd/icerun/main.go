@@ -32,8 +32,8 @@
 // remote mode it consumes the gateway's live NDJSON events endpoint
 // (/jobs/{id}/events), so a long mesh job narrates its shard and cell
 // progress — including spans forwarded from worker nodes — while the
-// table is still computing; locally it subscribes to the in-process
-// trace. Tables on stdout stay byte-identical with -follow on or off.
+// table is still computing; locally it follows the in-process trace's
+// log. Tables on stdout stay byte-identical with -follow on or off.
 package main
 
 import (
@@ -106,19 +106,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := experiments.Options{Seed: *seed, Cells: *cells, Fleet: fleet.Runner{Workers: *workers}}
 	if (*traceFile != "" || *follow) && *remote == "" {
 		tr = icescope.NewTrace("icerun")
-		if *follow {
-			tr.StreamEvents(1 << 16)
-		}
 		root = tr.Start(icescope.Span{}, "icerun")
 		opt.Fleet.Span = root
 		if *follow {
-			_, live, _ := tr.SubscribeEvents()
 			followDone = make(chan struct{})
 			go func() {
 				defer close(followDone)
-				for ev := range live {
-					fmt.Fprintf(stderr, "follow: %s\n", fmtEvent(ev.Kind.String(), ev.Name,
-						float64(ev.Start)/float64(time.Microsecond), float64(ev.End)/float64(time.Microsecond)))
+				for i := 0; ; {
+					evs, wait, closed := tr.EventsFrom(i)
+					for _, ev := range evs {
+						fmt.Fprintf(stderr, "follow: %s\n", fmtEvent(ev.Kind.String(), ev.Name,
+							float64(ev.Start)/float64(time.Microsecond), float64(ev.End)/float64(time.Microsecond)))
+					}
+					i += len(evs)
+					if closed {
+						return
+					}
+					if wait != nil {
+						<-wait
+					}
 				}
 			}()
 		}
@@ -150,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if tr != nil {
 		root.End()
-		tr.CloseEvents()
+		tr.Close()
 		if followDone != nil {
 			<-followDone
 		}

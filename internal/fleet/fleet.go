@@ -192,12 +192,12 @@ type Runner struct {
 	// to exactly the local behavior rather than failing.
 	Engine Engine
 
-	// Span, when active, parents the run's trace: each slot records
-	// per-cell spans into its own lock-free buffer, and engine-shipped
-	// specs propagate the span over the context so a distributed
-	// coordinator can attach its shard spans to the same tree. The zero
-	// Span disables tracing entirely — observability never touches cell
-	// seeds, scheduling, or results.
+	// Span, when active, parents the run's trace: each local cell's span
+	// lands on its pool slot's Chrome lane, and engine-shipped specs
+	// propagate the span over the context so a distributed coordinator
+	// can attach its shard spans to the same tree. The zero Span disables
+	// tracing entirely — observability never touches cell seeds,
+	// scheduling, or results.
 	Span icescope.Span
 
 	// Obs, when non-nil, feeds the fleet's latency histograms.
@@ -291,8 +291,9 @@ func (r Runner) RunAllContext(ctx context.Context, specs []Spec, onCell func(Res
 // panic in the model (the sim kernel panics on causality violations)
 // into a per-cell error so one bad room cannot take down the fleet. The
 // scratch pointer is stripped from the stored Result so pooled buffers
-// never escape the slot.
-func (r Runner) runCell(s Spec, i int, scratch *Scratch, buf *icescope.Buffer) (res Result) {
+// never escape the slot. The cell's span runs on lane, its Chrome tid
+// (a pool slot's id + 1).
+func (r Runner) runCell(s Spec, i int, scratch *Scratch, lane int32) (res Result) {
 	seed := s.seedFor(i)
 	res.Cell = Cell{Index: i, Seed: seed}
 	defer func() {
@@ -307,7 +308,7 @@ func (r Runner) runCell(s Spec, i int, scratch *Scratch, buf *icescope.Buffer) (
 	if r.Obs != nil && r.Obs.CellSeconds != nil {
 		t0 = time.Now()
 	}
-	sp := buf.Start(r.Span, "cell run")
+	sp := r.Span.ChildOn(lane, "cell run")
 	m, err := s.Run(Cell{Index: i, Seed: seed, scratch: scratch})
 	sp.End(icescope.IntAttr("cell", i))
 	if !t0.IsZero() {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/icescope"
 )
 
 // Pool is a fixed set of cell slots that every run naming it shares. A
@@ -75,23 +73,6 @@ func (r Runner) runLocal(ctx context.Context, groups []group, deliver func(Resul
 	if pool == nil {
 		pool = NewPool(r.Workers)
 	}
-	// One span buffer per slot for this run's trace; the cell holding
-	// slot i is the only one that reads or fills bufs[i].
-	tr := r.Span.Trace()
-	var bufs []*icescope.Buffer
-	if tr != nil {
-		bufs = make([]*icescope.Buffer, cap(pool.slots))
-	}
-	buffer := func(sl *slot) *icescope.Buffer {
-		if tr == nil {
-			return nil
-		}
-		if bufs[sl.id] == nil {
-			bufs[sl.id] = tr.Buffer()
-		}
-		return bufs[sl.id]
-	}
-
 	var wg sync.WaitGroup
 	var skipErr error // set once ctx is done; every later cell is skipped
 	skipped := 0
@@ -106,7 +87,7 @@ func (r Runner) runLocal(ctx context.Context, groups []group, deliver func(Resul
 					wg.Add(1)
 					go func(s *Spec, res *Result) {
 						defer wg.Done()
-						*res = r.runCell(*s, i, &sl.scratch, buffer(sl))
+						*res = r.runCell(*s, i, &sl.scratch, int32(sl.id+1))
 						deliver(*res)
 						pool.slots <- sl
 					}(g.spec, &g.out[k])

@@ -49,7 +49,7 @@ func gaugedSpec(name string, seed int64, cells int, g *gauge) Spec {
 // Runs that share one pool share its bound: three concurrent runs on a
 // pool of two slots never run more than two cells at once, and each
 // run's results equal the same spec run alone. Each run records into
-// its own trace, so the slots switch span buffers between runs.
+// its own trace, so the slots switch traces between runs.
 func TestPoolBoundsConcurrentRuns(t *testing.T) {
 	var g gauge
 	pool := NewPool(2)

@@ -152,7 +152,7 @@ func TestAllocsCellFromScratch(t *testing.T) {
 		}
 		scratch := &Scratch{}
 		run := func(i int) {
-			if res := (Runner{}).runCell(spec, i, scratch, nil); res.Err != nil {
+			if res := (Runner{}).runCell(spec, i, scratch, 0); res.Err != nil {
 				t.Fatal(res.Err)
 			}
 		}

@@ -119,11 +119,10 @@ type Scheduler struct {
 	queuedTotal int
 	vtime       float64
 
-	// Span/event drop totals carried over from evicted jobs, so the
-	// icescope_*_dropped_total expositions stay monotone after the job
-	// registry rotates. Guarded by mu.
-	evictedSpanDrops  uint64
-	evictedEventDrops uint64
+	// Span drops carried over from evicted jobs, so the
+	// icescope_spans_dropped_total exposition stays monotone after the
+	// job registry rotates. Guarded by mu.
+	evictedSpanDrops uint64
 
 	// hooks let lifecycle tests observe transitions without polling;
 	// zero outside tests.
@@ -475,7 +474,6 @@ func (s *Scheduler) evictLocked() {
 		j := s.jobs[id]
 		if len(s.jobs) > s.cfg.RetainJobs && j.Status().terminal() {
 			s.evictedSpanDrops += j.tr.Dropped()
-			s.evictedEventDrops += j.tr.EventsDropped()
 			delete(s.jobs, id)
 			continue
 		}
@@ -484,15 +482,14 @@ func (s *Scheduler) evictLocked() {
 	s.order = kept
 }
 
-// spanDropsLocked sums span and live-event drops across every retained
-// traced job plus the evicted carry-over; callers hold s.mu.
-func (s *Scheduler) spanDropsLocked() (spans, events uint64) {
-	spans, events = s.evictedSpanDrops, s.evictedEventDrops
+// spanDropsLocked sums span drops across every retained traced job plus
+// the evicted carry-over; callers hold s.mu.
+func (s *Scheduler) spanDropsLocked() uint64 {
+	spans := s.evictedSpanDrops
 	for _, j := range s.jobs {
 		spans += j.tr.Dropped()
-		events += j.tr.EventsDropped()
 	}
-	return spans, events
+	return spans
 }
 
 // Get resolves a job by ID.

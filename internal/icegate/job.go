@@ -207,10 +207,10 @@ type Job struct {
 	errMsg     string
 	cached     bool
 	cellsTotal int
-	cells      []CellResult // completed cells, in delivery order (replay buffer)
+	cells      []CellResult // completed cells, in delivery order (the /stream log)
 	table      string       // rendered result, set on success
 	cancel     context.CancelFunc
-	subs       []chan CellResult
+	wake       chan struct{} // made when a cellsFrom reader waits; closed by the next delivery or the end
 	done       chan struct{} // closed on terminal status
 
 	// Tracing (nil/zero unless Req.Trace): tr holds the job's spans, root
@@ -236,13 +236,11 @@ func newJob(id string, req Request) *Job {
 	return j
 }
 
-// enableTrace arms span recording and the live event stream for the
-// job; called once at Submit, before the job is visible to anything
-// concurrent. Streaming is armed before the first span opens so a
-// subscriber's replay always starts at the job root.
+// enableTrace starts the job's trace and its root span; called once at
+// Submit, before the job is visible to anything concurrent, so the log
+// that /events follows always starts at the job root.
 func (j *Job) enableTrace() {
 	j.tr = icescope.NewTrace(j.ID)
-	j.tr.StreamEvents(0)
 	j.root = j.tr.Start(icescope.Span{}, "job "+j.ID)
 	j.qspan = j.root.Child("queued")
 }
@@ -252,9 +250,9 @@ func (j *Job) traceInstant(name string) {
 	j.tr.Instant(j.root, name)
 }
 
-// TraceData returns the job's completed trace, or nil while the job is
-// still live (worker span buffers are not synchronized mid-run) or when
-// the job was not traced.
+// TraceData returns the job's trace once the job is terminal, or nil
+// while it is live (its trace is a complete record only once the job
+// has ended; /events follows it meanwhile) or when it was not traced.
 func (j *Job) TraceData() *icescope.Trace {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -267,25 +265,11 @@ func (j *Job) TraceData() *icescope.Trace {
 // Traced reports whether the job was submitted with tracing on.
 func (j *Job) Traced() bool { return j.tr != nil }
 
-// SubscribeEvents taps the job's live span-event stream: the events
-// published so far, a live channel for the rest (closed when the job
-// reaches a terminal state), and a cancel to detach early. For jobs
-// already terminal — including cache hits — the replay arrives with a
-// pre-closed channel. Untraced jobs get an empty replay and a
-// pre-closed channel; callers gate on Traced() for a 404 instead.
-func (j *Job) SubscribeEvents() (replay []icescope.SpanEvent, live <-chan icescope.SpanEvent, cancel func()) {
-	return j.tr.SubscribeEvents()
-}
-
-// EventsDropped reports live events discarded over the job's stream
-// bound (0 for untraced jobs).
-func (j *Job) EventsDropped() uint64 { return j.tr.EventsDropped() }
-
 // closeTraceLocked ends whatever job-lifecycle spans are still open as
-// the job reaches status, then closes the live event stream (the final
-// end events publish first, so subscribers see the root close before
-// their channel does); callers hold j.mu. Ending the zero Span is a
-// no-op, so every path simply calls this once.
+// the job reaches status, then closes the trace's log (the final end
+// events land first, so readers see the root close before the log
+// does); callers hold j.mu. Ending the zero Span is a no-op, so every
+// path simply calls this once.
 func (j *Job) closeTraceLocked(status Status) {
 	j.qspan.End()
 	j.qspan = icescope.Span{}
@@ -295,7 +279,7 @@ func (j *Job) closeTraceLocked(status Status) {
 		j.root.End(icescope.StrAttr("status", string(status)))
 		j.root = icescope.Span{}
 	}
-	j.tr.CloseEvents()
+	j.tr.Close()
 }
 
 // View is the JSON shape of a job's status.
@@ -356,9 +340,8 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 	return true
 }
 
-// deliver records one completed cell and fans it out to subscribers.
-// Subscriber channels are buffered to the job's full cell count, so the
-// sends below never block the fleet's workers.
+// deliver records one completed cell and wakes the /stream readers
+// waiting for it.
 func (j *Job) deliver(cr CellResult) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -366,28 +349,58 @@ func (j *Job) deliver(cr CellResult) {
 		return
 	}
 	j.cells = append(j.cells, cr)
-	for _, ch := range j.subs {
-		ch <- cr
+	j.wakeLocked()
+}
+
+// wakeLocked releases the readers waiting in cellsFrom; callers hold
+// j.mu.
+func (j *Job) wakeLocked() {
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
-// finish moves the job to a terminal state, closing the stream fan-out.
+// cellsFrom returns the delivered cells from position i on, in delivery
+// order, and whether the job is terminal, after which no cell lands.
+// When there are none and the job is live, wait is closed by the next
+// delivery or by the job's end. The returned slice shares the job's
+// storage and must not be modified.
+func (j *Job) cellsFrom(i int) (cells []CellResult, wait <-chan struct{}, terminal bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if n := len(j.cells); i < n {
+		return j.cells[i:n:n], nil, j.status.terminal()
+	}
+	if j.status.terminal() {
+		return nil, nil, true
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return nil, j.wake, false
+}
+
+// endLocked moves the job to its terminal status: it closes the trace,
+// wakes the /stream readers and closes Done. Callers hold j.mu.
+func (j *Job) endLocked(status Status) {
+	j.status = status
+	j.closeTraceLocked(status)
+	j.wakeLocked()
+	close(j.done)
+}
+
+// finish moves the job to a terminal state.
 func (j *Job) finish(status Status, table, errMsg string, cached bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.terminal() {
 		return
 	}
-	j.status = status
 	j.table = table
 	j.errMsg = errMsg
 	j.cached = cached
-	j.closeTraceLocked(status)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
+	j.endLocked(status)
 }
 
 // requestCancel flips a queued job straight to cancelled, running
@@ -397,14 +410,8 @@ func (j *Job) requestCancel(release func()) bool {
 	j.mu.Lock()
 	if j.status == StatusQueued {
 		release()
-		j.status = StatusCancelled
 		j.errMsg = context.Canceled.Error()
-		j.closeTraceLocked(StatusCancelled)
-		for _, ch := range j.subs {
-			close(ch)
-		}
-		j.subs = nil
-		close(j.done)
+		j.endLocked(StatusCancelled)
 		j.mu.Unlock()
 		return true
 	}
@@ -416,30 +423,4 @@ func (j *Job) requestCancel(release func()) bool {
 	}
 	j.mu.Unlock()
 	return false
-}
-
-// subscribe atomically snapshots already-delivered cells and registers a
-// live channel for the rest. The returned channel is closed when the job
-// reaches a terminal state; unsubscribe is idempotent and safe after
-// close. For jobs already terminal the channel arrives pre-closed.
-func (j *Job) subscribe() (replay []CellResult, live <-chan CellResult, unsubscribe func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay = append([]CellResult(nil), j.cells...)
-	ch := make(chan CellResult, j.cellsTotal+1)
-	if j.status.terminal() {
-		close(ch)
-		return replay, ch, func() {}
-	}
-	j.subs = append(j.subs, ch)
-	return replay, ch, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		for i, c := range j.subs {
-			if c == ch {
-				j.subs = append(j.subs[:i], j.subs[i+1:]...)
-				return
-			}
-		}
-	}
 }

@@ -80,23 +80,15 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 			return float64(hits) / float64(hits+misses)
 		})
 
-	// Trace health: spans silently discarded over per-trace caps (and
-	// live events over stream bounds) across all traced jobs, including
-	// those already evicted from the registry. A nonzero value means a
-	// span tree in /trace or /events is incomplete.
+	// Trace health: spans silently discarded over per-trace caps across
+	// all traced jobs, including those already evicted from the
+	// registry. A nonzero value means a span tree in /trace or /events
+	// is incomplete.
 	r.GaugeFunc("icescope_spans_dropped_total", "Spans discarded over per-trace caps, all traced jobs.",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			spans, _ := s.spanDropsLocked()
-			return float64(spans)
-		})
-	r.GaugeFunc("icescope_span_events_dropped_total", "Live span events discarded over per-job stream bounds.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			_, events := s.spanDropsLocked()
-			return float64(events)
+			return float64(s.spanDropsLocked())
 		})
 
 	m.cellsDone = r.Counter("icegate_cells_done_total", "Fleet cells completed.")

@@ -125,10 +125,30 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		streamJob(s, w, r)
+		job, ok := s.Get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "unknown job")
+			return
+		}
+		follow(w, r, job.cellsFrom,
+			func(c *CellResult) any { return streamLine{Cell: c} },
+			func() any {
+				v := job.View()
+				return streamLine{Done: true, Status: v.Status, Cached: v.Cached, Error: v.Error}
+			})
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		streamEvents(s, w, r)
+		job, ok := s.Get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "unknown job")
+			return
+		}
+		if !job.Traced() {
+			writeError(w, http.StatusNotFound, "job was not submitted with trace enabled")
+			return
+		}
+		follow(w, r, job.tr.EventsFrom, eventLine,
+			func() any { return EventLine{Done: true, Status: job.Status(), Dropped: job.tr.Dropped()} })
 	})
 	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := s.Get(r.PathValue("id"))
@@ -142,8 +162,8 @@ func NewHandler(s *Scheduler) http.Handler {
 		}
 		tr := job.TraceData()
 		if tr == nil {
-			// Worker span buffers are only safe to read once the job is
-			// terminal; tell the client to come back.
+			// The trace is a complete record only once the job has ended;
+			// tell the client to come back (or to follow /events).
 			writeJSON(w, http.StatusAccepted, job.View())
 			return
 		}
@@ -174,55 +194,52 @@ type streamLine struct {
 	Error  string      `json:"error,omitempty"`
 }
 
-// streamJob replays the job's completed cells, then follows it live until
-// the job reaches a terminal state or the client goes away. Each line is
-// flushed immediately so a slow multi-cell job streams incrementally.
-func streamJob(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
+// follow writes a job log as NDJSON, one flushed batch at a time: every
+// entry from position 0 on, read with from as it lands, then the last
+// line once from reports the log closed. It stops early when a write
+// fails or the client goes away. /stream follows a job's cells and
+// /events its trace.
+func follow[T any](w http.ResponseWriter, r *http.Request, from func(int) ([]T, <-chan struct{}, bool), line func(*T) any, last func() any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out now: clients block on them before reading
-		// the first NDJSON line, which may be a long simulation away.
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	emit := func(l streamLine) {
-		_ = enc.Encode(l)
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-
-	replay, live, unsubscribe := job.subscribe()
-	defer unsubscribe()
-	for i := range replay {
-		emit(streamLine{Cell: &replay[i]})
-	}
-	for {
-		select {
-		case cr, open := <-live:
-			if !open {
-				v := job.View()
-				emit(streamLine{Done: true, Status: v.Status, Cached: v.Cached, Error: v.Error})
+	// Push the headers out now: clients block on them before reading the
+	// first NDJSON line, which may be a long simulation away.
+	flush()
+	enc := json.NewEncoder(w)
+	for i := 0; ; {
+		entries, wait, closed := from(i)
+		for k := range entries {
+			if enc.Encode(line(&entries[k])) != nil {
 				return
 			}
-			emit(streamLine{Cell: &cr})
-		case <-r.Context().Done():
+		}
+		i += len(entries)
+		if closed {
+			_ = enc.Encode(last())
+			flush()
 			return
+		}
+		flush()
+		if wait != nil {
+			select {
+			case <-wait:
+			case <-r.Context().Done():
+				return
+			}
 		}
 	}
 }
 
-// EventLine is one NDJSON record of the live span-event stream: an
-// event while the job runs, then a single terminal record carrying the
-// final status and the stream's drop count. Offsets are microseconds
-// from the job trace's epoch, matching the Chrome export's unit.
+// EventLine is one NDJSON record of a job's span-event stream: an event
+// of the job's trace, then a single terminal record carrying the final
+// status and the trace's drop count. Offsets are microseconds from the
+// job trace's epoch, matching the Chrome export's unit.
 type EventLine struct {
 	Seq     uint64         `json:"seq,omitempty"`
 	Kind    string         `json:"kind,omitempty"`
@@ -238,7 +255,7 @@ type EventLine struct {
 	Dropped uint64         `json:"dropped,omitempty"`
 }
 
-func eventLine(ev icescope.SpanEvent) EventLine {
+func eventLine(ev *icescope.SpanEvent) any {
 	l := EventLine{
 		Seq: ev.Seq, Kind: ev.Kind.String(), Span: uint64(ev.Span), Parent: uint64(ev.Parent),
 		Tid: ev.Tid, Name: ev.Name,
@@ -252,55 +269,6 @@ func eventLine(ev icescope.SpanEvent) EventLine {
 		}
 	}
 	return l
-}
-
-// streamEvents replays the traced job's span events so far, then
-// follows the stream live until the job reaches a terminal state (the
-// terminal NDJSON line carries the final status and drop count) or the
-// client goes away. Works from submission on: a queued job streams its
-// root/queued spans immediately and the rest as they happen.
-func streamEvents(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
-	if !job.Traced() {
-		writeError(w, http.StatusNotFound, "job was not submitted with trace enabled")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	emit := func(l EventLine) {
-		_ = enc.Encode(l)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	replay, live, cancel := job.SubscribeEvents()
-	defer cancel()
-	for _, ev := range replay {
-		emit(eventLine(ev))
-	}
-	for {
-		select {
-		case ev, open := <-live:
-			if !open {
-				v := job.View()
-				emit(EventLine{Done: true, Status: v.Status, Dropped: job.EventsDropped()})
-				return
-			}
-			emit(eventLine(ev))
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -2,6 +2,7 @@ package icegate
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -161,7 +162,6 @@ func TestGatewayExpositionLints(t *testing.T) {
 		"# TYPE icegate_cell_seconds histogram\n",
 		"# HELP icegate_queue_depth ",
 		"icescope_spans_dropped_total 0\n",
-		"icescope_span_events_dropped_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
@@ -347,4 +347,65 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) string {
 		t.Fatalf("result fetch = %d: %s", code, body)
 	}
 	return body
+}
+
+// A traced job's /events carries every span its /trace holds: each
+// `cell run` in the tree has its end line on the stream, whatever the
+// job's size, and the terminal line reports no drops.
+func TestEventsCarryEveryTracedSpan(t *testing.T) {
+	_, ts := newTestGateway(t, Config{QueueDepth: 4, Executors: 1, Workers: 2})
+	const cells = 2100
+	v, code := submit(t, ts, Request{Scenario: fleet.ScenarioPCASupervised, Seed: 43, Cells: cells, DurationS: 60, Trace: true})
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d", code)
+	}
+	if v = waitDone(t, ts, v.ID); v.Status != StatusDone {
+		t.Fatalf("job ended %s: %s", v.Status, v.Error)
+	}
+
+	code, text := get(t, ts, "/api/v1/jobs/"+v.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace fetch = %d", code)
+	}
+	inTrace := map[string]bool{}
+	for _, ln := range strings.Split(text, "\n") {
+		if f := strings.Fields(ln); len(f) == 4 && f[0] == "cell" && f[1] == "run" {
+			inTrace[f[3]] = true // "cell=N"
+		}
+	}
+	if len(inTrace) != cells {
+		t.Fatalf("/trace holds %d cell spans, want %d", len(inTrace), cells)
+	}
+
+	code, body := get(t, ts, "/api/v1/jobs/"+v.ID+"/events")
+	if code != http.StatusOK {
+		t.Fatalf("events fetch = %d", code)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	var last EventLine
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if !last.Done || last.Dropped != 0 {
+		t.Fatalf("terminal events line = %+v, want done with 0 dropped", last)
+	}
+	onStream := map[string]bool{}
+	for _, ln := range lines[:len(lines)-1] {
+		var l EventLine
+		if err := json.Unmarshal([]byte(ln), &l); err != nil {
+			t.Fatal(err)
+		}
+		if l.Kind == "end" && l.Name == "cell run" {
+			onStream[fmt.Sprintf("cell=%v", l.Attrs["cell"])] = true
+		}
+	}
+	missing := 0
+	for c := range inTrace {
+		if !onStream[c] {
+			missing++
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of the %d cell spans in /trace have no end line on /events", missing, cells)
+	}
 }

@@ -695,8 +695,8 @@ func (c *Coordinator) onShardDone(node *meshNode, m *ShardDone) {
 // Node offsets are re-based onto the job trace's epoch by comparing the
 // node's trace clock at send (NowNS) against ours now; network latency
 // skews every injected offset by the same one-way delay, which is
-// exactly the error bar a cross-node trace carries. Injected spans
-// publish live events, so a subscriber watching the job's /events
+// exactly the error bar a cross-node trace carries. Injected spans land
+// in the job trace's log, so a reader following the job's /events
 // stream sees node spans mid-job.
 func (c *Coordinator) onSpanBatch(m *SpanBatch) {
 	c.met.spanBatches.Inc()

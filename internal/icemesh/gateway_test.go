@@ -16,9 +16,9 @@ import (
 // table renders byte-identical whether its fleet cells run locally or
 // across a 2-node mesh. Only the tables that declare Dims.Engine can
 // ship a cell to the mesh; each of those renders locally, on the mesh,
-// and on the mesh with a streamed trace attached (live event subscriber
-// and node span forwarding), and its own subtest must move the
-// coordinator's cells-done counter. Every other table renders once with
+// and on the mesh with a trace attached (which turns on node span
+// forwarding), and its own subtest must move the coordinator's
+// cells-done counter. Every other table renders once with
 // the mesh installed: it must put no cell on the mesh and match its line
 // in the experiments package's tables.golden. A wrong declaration fails
 // here whichever way it is wrong, and the test fails if no table
@@ -69,20 +69,15 @@ func TestAllTablesByteIdenticalLocalVsMesh(t *testing.T) {
 					id, local.String(), mesh.String())
 			}
 			tr := icescope.NewTrace("table " + id)
-			tr.StreamEvents(8192)
-			_, live, _ := tr.SubscribeEvents()
 			root := tr.Start(icescope.Span{}, "table "+id)
-			streamed, err := experiments.Run(id, experiments.Options{Fleet: fleet.Runner{Workers: 2, Engine: coord, Span: root}})
+			traced, err := experiments.Run(id, experiments.Options{Fleet: fleet.Runner{Workers: 2, Engine: coord, Span: root}})
 			root.End()
-			tr.CloseEvents()
-			for range live {
-			}
 			if err != nil {
-				t.Fatalf("mesh+stream: %v", err)
+				t.Fatalf("mesh+trace: %v", err)
 			}
-			if local.String() != streamed.String() {
-				t.Fatalf("table %s differs with a streamed trace attached:\n--- local ---\n%s\n--- streamed mesh ---\n%s",
-					id, local.String(), streamed.String())
+			if local.String() != traced.String() {
+				t.Fatalf("table %s differs with a trace attached:\n--- local ---\n%s\n--- traced mesh ---\n%s",
+					id, local.String(), traced.String())
 			}
 			if coord.met.cellsDone.Value() == before {
 				t.Fatalf("table %s declares Dims.Engine but put no cell on the mesh", id)

@@ -495,8 +495,8 @@ func TestNodeObsCountsEveryCell(t *testing.T) {
 	if _, err := (fleet.Runner{Workers: 2, Engine: coord}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	// The node counts a cell after handing it to its batcher, so the job
-	// can finish at the coordinator first.
+	// The node counts a shard's cells after it has sent the shard's
+	// frames, so the job can finish at the coordinator first.
 	deadline := time.Now().Add(10 * time.Second)
 	for obs.CellsDone.Value() < cells && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -56,8 +56,8 @@ func TestMeshTraceCoverage(t *testing.T) {
 }
 
 // Tracing is observability, not identity: the same mesh job with and
-// without a span root — and with a live event subscriber attached, which
-// also turns on node span forwarding — reduces to byte-identical tables.
+// without a span root — which also turns on node span forwarding —
+// reduces to byte-identical tables.
 func TestMeshTraceDifferential(t *testing.T) {
 	coord, _ := startMesh(t, Config{ShardCells: 3}, 2, 2)
 
@@ -72,21 +72,16 @@ func TestMeshTraceDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := icescope.NewTrace("diff")
-	tr.StreamEvents(0)
-	_, live, _ := tr.SubscribeEvents()
 	root := tr.Start(icescope.Span{}, "job")
 	traced, err := fleet.Runner{Workers: 2, Engine: coord, Span: root}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	tr.CloseEvents()
-	events := 0
-	for range live {
-		events++
-	}
+	evs, _, _ := tr.EventsFrom(0)
+	events := len(evs)
 	if events == 0 {
-		t.Error("streamed trace published no events")
+		t.Error("traced job logged no events")
 	}
 	if got, want := summarize(traced), summarize(plain); got != want {
 		t.Fatalf("tracing changed the mesh table:\n%s\nvs\n%s", got, want)
@@ -95,9 +90,9 @@ func TestMeshTraceDifferential(t *testing.T) {
 
 // TestMeshForwardsNodeSpans pins the forwarding contract end to end: a
 // traced job on a 2-node mesh ends up with every node's shard and cell
-// spans in the job trace, each inside its parent's window, and a live
-// subscriber sees node-originated span events before the job's root
-// closes, which is what the events endpoint streams mid-job.
+// spans in the job trace, each inside its parent's window, and a reader
+// of the trace's log sees node-originated span events before the job's
+// root closes, which is what the events endpoint streams mid-job.
 func TestMeshForwardsNodeSpans(t *testing.T) {
 	coord, _ := startMesh(t, Config{ShardCells: 2}, 2, 2)
 
@@ -108,32 +103,22 @@ func TestMeshForwardsNodeSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := icescope.NewTrace("mesh-fwd")
-	tr.StreamEvents(0)
-	_, live, _ := tr.SubscribeEvents()
 	root := tr.Start(icescope.Span{}, "job")
 	if _, err := (fleet.Runner{Workers: 2, Engine: coord, Span: root}).Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	// Drain before root.End(): anything seen now arrived mid-job.
-	var events []icescope.SpanEvent
+	// Read before root.End(): anything seen now arrived mid-job.
+	events, _, _ := tr.EventsFrom(0)
 	preTerminal := 0
-drain:
-	for {
-		select {
-		case ev := <-live:
-			events = append(events, ev)
-			if ev.Name == "cell run" {
-				preTerminal++
-			}
-		default:
-			break drain
+	for _, ev := range events {
+		if ev.Name == "cell run" {
+			preTerminal++
 		}
 	}
 	root.End()
-	tr.CloseEvents()
-	for ev := range live {
-		events = append(events, ev)
-	}
+	tr.Close()
+	rest, _, _ := tr.EventsFrom(len(events))
+	events = append(events, rest...)
 	if preTerminal == 0 {
 		t.Error("no node-originated span events reached the live stream before the job closed")
 	}

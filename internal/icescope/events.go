@@ -1,9 +1,6 @@
 package icescope
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // SpanEventKind distinguishes the three moments a trace can announce.
 type SpanEventKind uint8
@@ -33,10 +30,9 @@ func (k SpanEventKind) String() string {
 	return "unknown"
 }
 
-// SpanEvent is one entry of a trace's live event stream. Offsets are
-// monotonic durations from the trace epoch, so a consumer needs no
-// clock agreement with the producer. Seq is assigned at publication
-// and strictly increases within one trace.
+// SpanEvent is one entry of a trace's log. Offsets are monotonic
+// durations from the trace epoch, so a consumer needs no clock agreement
+// with the producer. Seq is the event's position in the log plus one.
 type SpanEvent struct {
 	Seq    uint64
 	Kind   SpanEventKind
@@ -49,128 +45,54 @@ type SpanEvent struct {
 	Attrs  []Attr
 }
 
-// eventLog is the bounded, drop-counting event plane behind a trace.
-// It exists only when StreamEvents armed it; the nil case keeps every
-// publication down to one pointer load on un-streamed traces.
-type eventLog struct {
-	mu      sync.Mutex
-	max     int
-	seq     uint64
-	log     []SpanEvent
-	subs    []chan SpanEvent
-	closed  bool
-	dropped uint64
+// EventsFrom returns the logged events from position i on (0 reads the
+// whole log), in Seq order, and whether the log is closed. When there
+// are none and the log is still open, wait is closed by the next append
+// or by Close, so a live reader follows the trace by position:
+//
+//	for i := 0; ; {
+//		evs, wait, closed := tr.EventsFrom(i)
+//		// ... use evs ...
+//		i += len(evs)
+//		if closed {
+//			break
+//		}
+//		if wait != nil {
+//			<-wait
+//		}
+//	}
+//
+// The returned slice shares the log's storage and must not be modified.
+// A nil trace reads as an empty, closed log.
+func (t *Trace) EventsFrom(i int) (evs []SpanEvent, wait <-chan struct{}, closed bool) {
+	if t == nil {
+		return nil, nil, true
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := len(t.log); i < n {
+		return t.log[i:n:n], nil, t.closed
+	}
+	if t.closed {
+		return nil, nil, true
+	}
+	if t.wake == nil {
+		t.wake = make(chan struct{})
+	}
+	return nil, t.wake, false
 }
 
-// StreamEvents arms the trace's live event plane with a bound of max
-// retained events (<=0 picks 4096). Beyond the bound events are
-// counted as dropped — from the log and from every subscriber alike —
-// so a pathological span storm degrades the stream, never the process.
-// Must be called before recording begins (like SetMaxSpans, it is not
-// synchronized against recording).
-func (t *Trace) StreamEvents(max int) {
+// Close seals the log: readers waiting at its end wake and see it
+// closed, starts are no longer logged, and ends and instants count as
+// dropped. Idempotent.
+func (t *Trace) Close() {
 	if t == nil {
 		return
 	}
-	if max <= 0 {
-		max = 4096
-	}
-	t.events = &eventLog{max: max}
-}
-
-// EventsArmed reports whether StreamEvents armed the live plane.
-func (t *Trace) EventsArmed() bool { return t != nil && t.events != nil }
-
-// EventsDropped reports events discarded over the stream bound.
-func (t *Trace) EventsDropped() uint64 {
-	if t == nil || t.events == nil {
-		return 0
-	}
-	l := t.events
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// SubscribeEvents returns the events published so far and a live
-// channel for the rest. The channel is buffered to the stream bound, so
-// publication never blocks on a slow subscriber; it is closed when the
-// trace's event plane closes (CloseEvents) — or immediately, when the
-// plane is already closed or was never armed. cancel detaches the
-// subscriber early (idempotent, never required).
-func (t *Trace) SubscribeEvents() (replay []SpanEvent, live <-chan SpanEvent, cancel func()) {
-	if t == nil || t.events == nil {
-		ch := make(chan SpanEvent)
-		close(ch)
-		return nil, ch, func() {}
-	}
-	l := t.events
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	replay = append([]SpanEvent(nil), l.log...)
-	ch := make(chan SpanEvent, l.max)
-	if l.closed {
-		close(ch)
-		return replay, ch, func() {}
-	}
-	l.subs = append(l.subs, ch)
-	return replay, ch, func() {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		for i, s := range l.subs {
-			if s == ch {
-				l.subs = append(l.subs[:i], l.subs[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// CloseEvents ends the live stream: every subscriber channel closes
-// after draining, and further publications are discarded (not counted
-// as drops — the trace is over). Idempotent; safe on an unarmed trace.
-func (t *Trace) CloseEvents() {
-	if t == nil || t.events == nil {
-		return
-	}
-	l := t.events
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	for _, ch := range l.subs {
-		close(ch)
-	}
-	l.subs = nil
-}
-
-// publish appends the event to the log and fans it out, all under the
-// event-log mutex, so every subscriber sees the trace's one Seq order.
-func (t *Trace) publish(ev SpanEvent) {
-	if t == nil || t.events == nil {
-		return
-	}
-	l := t.events
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	if len(l.log) >= l.max {
-		l.dropped++
-		return
-	}
-	l.seq++
-	ev.Seq = l.seq
-	l.log = append(l.log, ev)
-	for _, ch := range l.subs {
-		// Cannot block: the channel is buffered to the log bound and
-		// every send corresponds to a log append after the subscriber's
-		// replay snapshot.
-		ch <- ev
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	t.wakeLocked()
 }
 
 // Now reports the current instant as a trace-clock offset. The mesh
@@ -185,9 +107,9 @@ func (t *Trace) Now() time.Duration {
 
 // InjectSpan records an already-completed span with caller-supplied
 // offsets — the seam for spans that happened elsewhere (a node's cell
-// span, re-based onto this trace's clock). It publishes a start and an
-// end event, so live subscribers see injected spans mid-job exactly
-// like native ones. Offsets are clamped to be non-decreasing.
+// span, re-based onto this trace's clock). It logs a start and an end,
+// so live readers see injected spans mid-job exactly like native ones.
+// Offsets are clamped to be non-decreasing.
 func (t *Trace) InjectSpan(parent Span, name string, start, end time.Duration, attrs ...Attr) {
 	if t == nil {
 		return
@@ -198,16 +120,13 @@ func (t *Trace) InjectSpan(parent Span, name string, start, end time.Duration, a
 	if end < start {
 		end = start
 	}
-	id := SpanID(t.ids.Add(1))
-	t.publish(SpanEvent{Kind: EventStart, Span: id, Parent: parent.id, Name: name, Start: start})
-	t.publish(SpanEvent{Kind: EventEnd, Span: id, Parent: parent.id, Name: name, Start: start, End: end, Attrs: attrs})
-	if !t.admit() {
-		return
-	}
-	rec := spanRec{id: id, parent: parent.id, name: name, start: start, end: end, attrs: attrs}
 	t.mu.Lock()
-	t.ctl = append(t.ctl, rec)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	t.ids++
+	ev := SpanEvent{Kind: EventStart, Span: SpanID(t.ids), Parent: parent.id, Name: name, Start: start}
+	t.logLocked(ev)
+	ev.Kind, ev.End, ev.Attrs = EventEnd, end, attrs
+	t.completeLocked(ev)
 }
 
 // SelfTimes aggregates per-span-name *self* time — each span's duration
@@ -215,27 +134,26 @@ func (t *Trace) InjectSpan(parent Span, name string, start, end time.Duration, a
 // across the whole trace. Self time is what trace-attribution diffing
 // wants: a parent that merely waits on its children contributes
 // nothing, so a regression shows up under the span that actually moved.
-// Snapshot rules apply: call only after the traced work has completed.
 func (t *Trace) SelfTimes() map[string]time.Duration {
 	if t == nil {
 		return nil
 	}
-	spans := t.snapshot()
+	spans := t.Spans()
 	childSum := make(map[SpanID]time.Duration, len(spans))
 	for i := range spans {
 		sp := &spans[i]
-		if sp.parent != 0 {
-			childSum[sp.parent] += sp.end - sp.start
+		if sp.Parent != 0 {
+			childSum[sp.Parent] += sp.End - sp.Start
 		}
 	}
 	out := make(map[string]time.Duration)
 	for i := range spans {
 		sp := &spans[i]
-		self := (sp.end - sp.start) - childSum[sp.id]
+		self := (sp.End - sp.Start) - childSum[sp.Span]
 		if self < 0 {
 			self = 0
 		}
-		out[sp.name] += self
+		out[sp.Name] += self
 	}
 	return out
 }

@@ -8,33 +8,10 @@ import (
 	"time"
 )
 
-// drain collects everything currently buffered on a live channel
-// without blocking on future events.
-func drain(live <-chan SpanEvent) []SpanEvent {
-	var out []SpanEvent
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return out
-			}
-			out = append(out, ev)
-		default:
-			return out
-		}
-	}
-}
-
 func TestEventStreamStartEndInstant(t *testing.T) {
 	tr := NewTrace("ev")
-	tr.StreamEvents(64)
-	if !tr.EventsArmed() {
-		t.Fatal("StreamEvents did not arm the plane")
-	}
-	replay, live, cancel := tr.SubscribeEvents()
-	defer cancel()
-	if len(replay) != 0 {
-		t.Fatalf("fresh trace replayed %d events", len(replay))
+	if evs, wait, closed := tr.EventsFrom(0); len(evs) != 0 || wait == nil || closed {
+		t.Fatalf("fresh trace: %d events, wait %v, closed %v", len(evs), wait, closed)
 	}
 
 	root := tr.Start(Span{}, "job")
@@ -43,7 +20,7 @@ func TestEventStreamStartEndInstant(t *testing.T) {
 	tr.Instant(root, "ping", StrAttr("how", "test"))
 	root.End()
 
-	got := drain(live)
+	got, _, _ := tr.EventsFrom(0)
 	// start(job), start(work), end(work), instant(ping), end(job)
 	if len(got) != 5 {
 		t.Fatalf("got %d events, want 5: %+v", len(got), got)
@@ -73,160 +50,113 @@ func TestEventStreamStartEndInstant(t *testing.T) {
 		t.Fatal("instant event has extent")
 	}
 
-	// A late subscriber replays the full history.
-	replay2, live2, cancel2 := tr.SubscribeEvents()
-	defer cancel2()
-	if len(replay2) != 5 {
-		t.Fatalf("late subscriber replayed %d events, want 5", len(replay2))
+	// A reader from a later position gets the rest; one at the end gets
+	// nothing and waits.
+	if rest, _, _ := tr.EventsFrom(3); len(rest) != 2 || rest[0].Seq != 4 {
+		t.Fatalf("EventsFrom(3) = %+v, want Seq 4 and 5", rest)
 	}
-	if n := len(drain(live2)); n != 0 {
-		t.Fatalf("late subscriber got %d live events before any recording", n)
+	if evs, wait, _ := tr.EventsFrom(5); len(evs) != 0 || wait == nil {
+		t.Fatalf("reader at the end got %d events and wait %v", len(evs), wait)
 	}
 }
 
-func TestEventStreamBufferSpans(t *testing.T) {
-	tr := NewTrace("buf")
-	tr.StreamEvents(16)
-	_, live, cancel := tr.SubscribeEvents()
-	defer cancel()
+func TestEventStreamLaneTids(t *testing.T) {
+	tr := NewTrace("lanes")
 	root := tr.Start(Span{}, "job")
-	b := tr.Buffer()
-	sp := b.Start(root, "cell run")
+	sp := root.ChildOn(3, "cell run")
 	sp.End(IntAttr("cell", 0))
-	got := drain(live)
-	if len(got) != 3 {
-		t.Fatalf("got %d events, want 3", len(got))
-	}
-	if got[1].Tid == 0 || got[2].Tid != got[1].Tid {
-		t.Fatalf("buffer events did not carry the worker tid: %+v", got[1:])
-	}
-}
-
-func TestEventStreamBoundAndDrops(t *testing.T) {
-	tr := NewTrace("bound")
-	tr.StreamEvents(4)
-	_, live, cancel := tr.SubscribeEvents()
-	defer cancel()
-	for i := 0; i < 10; i++ {
-		tr.Instant(Span{}, "tick")
-	}
-	if got := len(drain(live)); got != 4 {
-		t.Fatalf("subscriber got %d events past a bound of 4", got)
-	}
-	if d := tr.EventsDropped(); d != 6 {
-		t.Fatalf("EventsDropped = %d, want 6", d)
-	}
-	// The span plane has its own cap: nothing dropped there.
-	if d := tr.Dropped(); d != 0 {
-		t.Fatalf("span Dropped = %d, want 0", d)
-	}
-}
-
-func TestEventPublishSurvivesSpanCap(t *testing.T) {
-	tr := NewTrace("cap")
-	tr.SetMaxSpans(1)
-	tr.StreamEvents(64)
-	_, live, cancel := tr.SubscribeEvents()
-	defer cancel()
-	tr.Start(Span{}, "a").End()
-	tr.Start(Span{}, "b").End() // dropped from the trace...
-	tr.Instant(Span{}, "c")     // ...and so is this
-	if d := tr.Dropped(); d != 2 {
-		t.Fatalf("span Dropped = %d, want 2", d)
-	}
-	got := drain(live)
-	// ...but the live stream still announced all of them.
+	root.Child("merge").End()
+	got, _, _ := tr.EventsFrom(0)
 	if len(got) != 5 {
-		t.Fatalf("got %d events, want 5 (cap must not mute the stream)", len(got))
+		t.Fatalf("got %d events, want 5", len(got))
+	}
+	if got[1].Tid != 3 || got[2].Tid != 3 {
+		t.Fatalf("lane events did not carry the lane tid: %+v", got[1:3])
+	}
+	if got[0].Tid != 0 || got[3].Tid != 0 || got[4].Tid != 0 {
+		t.Fatalf("Start and Child events left lane 0: %+v", got)
 	}
 }
 
 func TestEventStreamCloseAndCancel(t *testing.T) {
 	tr := NewTrace("close")
-	tr.StreamEvents(8)
-	_, live, cancel := tr.SubscribeEvents()
-	_, live2, _ := tr.SubscribeEvents()
 	tr.Instant(Span{}, "before")
-	cancel()
-	cancel() // idempotent
-	tr.Instant(Span{}, "after-cancel")
-	if got := len(drain(live)); got != 1 {
-		t.Fatalf("cancelled subscriber got %d events, want 1", got)
+	evs, wait, closed := tr.EventsFrom(1)
+	if len(evs) != 0 || wait == nil || closed {
+		t.Fatalf("reader at the end of an open log: %d events, wait %v, closed %v", len(evs), wait, closed)
 	}
-	tr.CloseEvents()
-	tr.CloseEvents() // idempotent
+	woke := make(chan struct{})
+	go func() {
+		<-wait
+		close(woke)
+	}()
+	tr.Close()
+	tr.Close() // idempotent
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not wake the waiting reader")
+	}
+	if evs, wait, closed := tr.EventsFrom(1); len(evs) != 0 || wait != nil || !closed {
+		t.Fatalf("reader at the end of a closed log: %d events, wait %v, closed %v", len(evs), wait, closed)
+	}
+	// A closed log is sealed: later spans are counted, not logged.
 	tr.Instant(Span{}, "after-close")
-	evs := drain(live2)
-	if len(evs) != 2 {
-		t.Fatalf("subscriber got %d events, want 2 (publication after close is discarded)", len(evs))
+	tr.Start(Span{}, "late").End()
+	if evs, _, closed := tr.EventsFrom(0); len(evs) != 1 || !closed {
+		t.Fatalf("closed log holds %d events (closed %v), want the 1 logged before Close", len(evs), closed)
 	}
-	if _, ok := <-live2; ok {
-		t.Fatal("live channel not closed after CloseEvents")
+	if d := tr.Dropped(); d != 2 {
+		t.Fatalf("Dropped = %d after two spans past Close, want 2", d)
 	}
-	// Subscribing after close: replay, then an already-closed channel.
-	replay, live3, _ := tr.SubscribeEvents()
-	if len(replay) != 2 {
-		t.Fatalf("post-close replay = %d events, want 2", len(replay))
+
+	// A reader that stops waiting holds nothing: the next append closes
+	// its channel and the trace forgets it.
+	tr2 := NewTrace("cancel")
+	_, abandoned, _ := tr2.EventsFrom(0)
+	tr2.Instant(Span{}, "tick")
+	select {
+	case <-abandoned:
+	default:
+		t.Fatal("append did not close the wait channel")
 	}
-	if _, ok := <-live3; ok {
-		t.Fatal("post-close live channel not closed")
+	if tr2.wake != nil {
+		t.Fatal("trace kept a wait channel after waking its readers")
 	}
 }
 
 func TestEventStreamUnarmedAndNil(t *testing.T) {
 	tr := NewTrace("unarmed")
-	tr.Start(Span{}, "a").End() // no stream armed: must not panic
-	replay, live, cancel := tr.SubscribeEvents()
-	cancel()
-	if replay != nil {
-		t.Fatalf("unarmed replay = %+v", replay)
+	tr.Start(Span{}, "a").End() // nobody reads: must not panic
+	if tr.wake != nil {
+		t.Fatal("a trace nobody waits on made a wait channel")
 	}
-	if _, ok := <-live; ok {
-		t.Fatal("unarmed live channel not pre-closed")
-	}
-	if tr.EventsArmed() || tr.EventsDropped() != 0 {
-		t.Fatal("unarmed trace reports an armed plane")
+	if evs, _, _ := tr.EventsFrom(0); len(evs) != 2 {
+		t.Fatalf("unread trace logged %d events, want 2", len(evs))
 	}
 
 	var nilTr *Trace
-	nilTr.StreamEvents(8)
-	nilTr.CloseEvents()
+	nilTr.Close()
 	nilTr.InjectSpan(Span{}, "x", 0, 0)
-	if nilTr.EventsArmed() || nilTr.EventsDropped() != 0 || nilTr.Now() != 0 {
+	if nilTr.Dropped() != 0 || nilTr.Now() != 0 {
 		t.Fatal("nil trace leaked state")
 	}
 	if nilTr.SelfTimes() != nil {
 		t.Fatal("nil trace SelfTimes not nil")
 	}
-	replay, live, cancel = nilTr.SubscribeEvents()
-	cancel()
-	if replay != nil {
-		t.Fatal("nil trace replayed events")
-	}
-	if _, ok := <-live; ok {
-		t.Fatal("nil trace live channel not pre-closed")
-	}
-}
-
-func TestEventStreamDefaultBound(t *testing.T) {
-	tr := NewTrace("default")
-	tr.StreamEvents(0)
-	if tr.events.max != 4096 {
-		t.Fatalf("default bound = %d, want 4096", tr.events.max)
+	if evs, wait, closed := nilTr.EventsFrom(0); evs != nil || wait != nil || !closed {
+		t.Fatalf("nil trace read as %d events, wait %v, closed %v; want an empty closed log", len(evs), wait, closed)
 	}
 }
 
 func TestInjectSpan(t *testing.T) {
 	tr := NewTrace("inject")
-	tr.StreamEvents(64)
-	_, live, cancel := tr.SubscribeEvents()
-	defer cancel()
 	root := tr.Start(Span{}, "job")
 	tr.InjectSpan(root, "remote cell", 5*time.Millisecond, 9*time.Millisecond, StrAttr("node", "n1"))
 	tr.InjectSpan(root, "clamped", -time.Millisecond, -2*time.Millisecond)
 	root.End()
 
-	got := drain(live)
+	got, _, _ := tr.EventsFrom(0)
 	if len(got) != 6 {
 		t.Fatalf("got %d events, want 6", len(got))
 	}
@@ -245,12 +175,12 @@ func TestInjectSpan(t *testing.T) {
 	if want := "remote cell"; !strings.Contains(text, want) {
 		t.Fatalf("trace text missing %q:\n%s", want, text)
 	}
-	spans := tr.snapshot()
+	spans := tr.Spans()
 	var found bool
 	for _, sp := range spans {
-		if sp.name == "remote cell" {
+		if sp.Name == "remote cell" {
 			found = true
-			if sp.parent != root.ID() || sp.start != 5*time.Millisecond || sp.end != 9*time.Millisecond {
+			if sp.Parent != root.ID() || sp.Start != 5*time.Millisecond || sp.End != 9*time.Millisecond {
 				t.Fatalf("injected rec = %+v", sp)
 			}
 		}
@@ -268,7 +198,7 @@ func TestInjectSpanOverCap(t *testing.T) {
 	if d := tr.Dropped(); d != 1 {
 		t.Fatalf("Dropped = %d, want 1", d)
 	}
-	if len(tr.snapshot()) != 1 {
+	if len(tr.Spans()) != 1 {
 		t.Fatal("over-cap inject was recorded")
 	}
 }
@@ -305,7 +235,7 @@ func TestSelfTimes(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	p.End()
 	// Children sum to more than the parent's extent.
-	pr := tr2.snapshot()[0]
+	pr := tr2.Spans()[0]
 	tr2mustInject(tr2, pr, t)
 	st2 := tr2.SelfTimes()
 	if st2["parent"] != 0 {
@@ -315,20 +245,34 @@ func TestSelfTimes(t *testing.T) {
 
 // tr2mustInject injects two children that together exceed the parent's
 // own extent, forcing the self-time floor.
-func tr2mustInject(tr *Trace, parent spanRec, t *testing.T) {
+func tr2mustInject(tr *Trace, parent SpanEvent, t *testing.T) {
 	t.Helper()
-	ps := Span{tr: tr, id: parent.id}
-	tr.InjectSpan(ps, "kid", parent.start, parent.end)
-	tr.InjectSpan(ps, "kid", parent.start, parent.end)
+	ps := Span{tr: tr, id: parent.Span}
+	tr.InjectSpan(ps, "kid", parent.Start, parent.End)
+	tr.InjectSpan(ps, "kid", parent.Start, parent.End)
 }
 
+// A reader follows the log from position 0 while 8 goroutines record:
+// it sees every event once, in Seq order (run under -race in CI).
 func TestEventStreamConcurrentPublish(t *testing.T) {
 	tr := NewTrace("race")
-	tr.StreamEvents(10000)
-	_, live, cancel := tr.SubscribeEvents()
-	defer cancel()
-	var wg sync.WaitGroup
 	const G, N = 8, 50
+	got := make(chan []SpanEvent)
+	go func() {
+		var evs []SpanEvent
+		for {
+			more, wait, closed := tr.EventsFrom(len(evs))
+			evs = append(evs, more...)
+			if closed {
+				got <- evs
+				return
+			}
+			if wait != nil {
+				<-wait
+			}
+		}
+	}()
+	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -340,17 +284,14 @@ func TestEventStreamConcurrentPublish(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	tr.CloseEvents()
-	var got []SpanEvent
-	for ev := range live {
-		got = append(got, ev)
+	tr.Close()
+	evs := <-got
+	if len(evs) != G*N*2 {
+		t.Fatalf("reader got %d events, want %d", len(evs), G*N*2)
 	}
-	if len(got) != G*N*2 {
-		t.Fatalf("got %d events, want %d", len(got), G*N*2)
-	}
-	for i, ev := range got {
+	for i, ev := range evs {
 		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has Seq %d: stream not totally ordered", i, ev.Seq)
+			t.Fatalf("event %d has Seq %d: log not totally ordered", i, ev.Seq)
 		}
 	}
 }

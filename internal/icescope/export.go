@@ -18,30 +18,29 @@ import (
 //	    cell 3 run                 8.9ms
 //
 // Spans sort by start time within their parent; orphans (parent never
-// recorded, e.g. dropped over the cap) print at top level. Snapshot
-// rules apply: call only after the traced work has completed.
+// recorded, e.g. dropped over the cap) print at top level.
 func (t *Trace) WriteText(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "(no trace)\n")
 		return err
 	}
-	spans := t.snapshot()
-	byID := make(map[SpanID]*spanRec, len(spans))
+	spans := t.Spans()
+	byID := make(map[SpanID]*SpanEvent, len(spans))
 	for i := range spans {
-		byID[spans[i].id] = &spans[i]
+		byID[spans[i].Span] = &spans[i]
 	}
-	kids := make(map[SpanID][]*spanRec, len(spans))
-	var roots []*spanRec
+	kids := make(map[SpanID][]*SpanEvent, len(spans))
+	var roots []*SpanEvent
 	for i := range spans {
 		sp := &spans[i]
-		if sp.parent != 0 && byID[sp.parent] != nil {
-			kids[sp.parent] = append(kids[sp.parent], sp)
+		if sp.Parent != 0 && byID[sp.Parent] != nil {
+			kids[sp.Parent] = append(kids[sp.Parent], sp)
 		} else {
 			roots = append(roots, sp)
 		}
 	}
-	order := func(list []*spanRec) {
-		sort.SliceStable(list, func(i, j int) bool { return list[i].start < list[j].start })
+	order := func(list []*SpanEvent) {
+		sort.SliceStable(list, func(i, j int) bool { return list[i].Start < list[j].Start })
 	}
 	order(roots)
 	for _, list := range kids {
@@ -58,10 +57,10 @@ func (t *Trace) WriteText(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n"); err != nil {
 		return err
 	}
-	var walk func(sp *spanRec, depth int) error
-	walk = func(sp *spanRec, depth int) error {
-		label := sp.name
-		if sp.end == sp.start {
+	var walk func(sp *SpanEvent, depth int) error
+	walk = func(sp *SpanEvent, depth int) error {
+		label := sp.Name
+		if sp.End == sp.Start {
 			label += " !" // instant marker
 		}
 		pad := 48 - 2*depth - len(label)
@@ -70,11 +69,11 @@ func (t *Trace) WriteText(w io.Writer) error {
 		}
 		line := fmt.Sprintf("%s%s%s%9.3fms%s\n",
 			strings.Repeat("  ", depth), label, strings.Repeat(" ", pad),
-			float64(sp.end-sp.start)/float64(time.Millisecond), attrText(sp.attrs))
+			float64(sp.End-sp.Start)/float64(time.Millisecond), attrText(sp.Attrs))
 		if _, err := io.WriteString(w, line); err != nil {
 			return err
 		}
-		for _, k := range kids[sp.id] {
+		for _, k := range kids[sp.Span] {
 			if err := walk(k, depth+1); err != nil {
 				return err
 			}
@@ -126,31 +125,30 @@ type chromeFile struct {
 	Metadata    map[string]any `json:"metadata,omitempty"`
 }
 
-// WriteChrome exports the trace as Chrome trace-event JSON. Control-
-// plane spans land on tid 0, each worker buffer on its own tid, so
-// Perfetto shows the fleet's true parallelism as lanes. Snapshot rules
-// apply: call only after the traced work has completed.
+// WriteChrome exports the trace as Chrome trace-event JSON. Each span
+// lands on its lane's tid (0 unless opened with ChildOn), so Perfetto
+// shows a fleet pool's slots as parallel rows.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	file := chromeFile{TraceEvents: []chromeEvent{}}
 	if t != nil {
-		spans := t.snapshot()
-		sort.SliceStable(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+		spans := t.Spans()
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 		for i := range spans {
 			sp := &spans[i]
 			ev := chromeEvent{
-				Name: sp.name, Phase: "X",
-				TS:  float64(sp.start) / float64(time.Microsecond),
-				PID: 1, TID: sp.tid,
+				Name: sp.Name, Phase: "X",
+				TS:  float64(sp.Start) / float64(time.Microsecond),
+				PID: 1, TID: sp.Tid,
 			}
-			if sp.end == sp.start {
+			if sp.End == sp.Start {
 				ev.Phase, ev.Scope = "i", "t"
 			} else {
-				dur := float64(sp.end-sp.start) / float64(time.Microsecond)
+				dur := float64(sp.End-sp.Start) / float64(time.Microsecond)
 				ev.Dur = &dur
 			}
-			if len(sp.attrs) > 0 {
-				ev.Args = make(map[string]any, len(sp.attrs))
-				for _, a := range sp.attrs {
+			if len(sp.Attrs) > 0 {
+				ev.Args = make(map[string]any, len(sp.Attrs))
+				for _, a := range sp.Attrs {
 					if a.isStr {
 						ev.Args[a.Key] = a.Str
 					} else {
@@ -177,25 +175,19 @@ func (t *Trace) TextString() string {
 	return b.String()
 }
 
-// Spans returns every recorded span as a completed-span event: an
-// EventInstant for a zero-width marker (as WriteText and WriteChrome
-// read them), an EventEnd otherwise. Spans never ended or dropped over
-// the cap are absent, and Seq is zero: nothing is published. Snapshot
-// rules apply: call only after the traced work has completed.
+// Spans returns every completed span in the log, in log order: an
+// EventEnd for a span ended, an EventInstant for a marker. Spans never
+// ended or dropped over the cap are absent.
 func (t *Trace) Spans() []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	spans := t.snapshot()
-	out := make([]SpanEvent, len(spans))
-	for i, sp := range spans {
-		kind := EventEnd
-		if sp.end == sp.start {
-			kind = EventInstant
-		}
-		out[i] = SpanEvent{
-			Kind: kind, Span: sp.id, Parent: sp.parent, Tid: sp.tid,
-			Name: sp.name, Start: sp.start, End: sp.end, Attrs: sp.attrs,
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]SpanEvent, 0, t.spans)
+	for _, ev := range t.log {
+		if ev.Kind != EventStart {
+			out = append(out, ev)
 		}
 	}
 	return out

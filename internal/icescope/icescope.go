@@ -9,14 +9,14 @@
 //
 // The three pieces:
 //
-//   - Trace/Span/Buffer: a low-overhead span recorder. Control-plane
-//     spans (job lifecycle, shard plans, RPC round trips) append under
-//     one mutex and may start/end on different goroutines; data-plane
-//     spans (per-cell execution) go through per-worker Buffers that
-//     append lock-free because each buffer has exactly one writing
-//     goroutine. Traces export as a text tree or as Chrome trace-event
-//     JSON loadable in Perfetto, and Coverage reports how much of a
-//     root span's wall time its leaf spans attribute.
+//   - Trace/Span: a span recorder. A trace is one append-only log of
+//     span events (start, end, instant) under one mutex; spans may
+//     start and end on different goroutines, and ChildOn puts a span on
+//     its own Chrome lane. Live readers follow the log by position
+//     (EventsFrom) until Close. Traces export their completed spans as
+//     a text tree or as Chrome trace-event JSON loadable in Perfetto,
+//     and Coverage reports how much of a root span's wall time its leaf
+//     spans attribute.
 //
 //   - Registry/Counter/Gauge/Histogram: generic metric types (atomic,
 //     zero-alloc on the hot path) replacing per-package hand-rolled

@@ -3,7 +3,6 @@ package icescope
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -42,50 +41,35 @@ func (a Attr) Value() any {
 // IsStr reports whether the attribute holds a string (false: numeric).
 func (a Attr) IsStr() bool { return a.isStr }
 
-// spanRec is one completed span as stored in a trace.
-type spanRec struct {
-	id, parent SpanID
-	tid        int32 // recording buffer (0 = control plane), the Chrome export's tid
-	name       string
-	start, end time.Duration // monotonic offsets from the trace epoch
-	attrs      []Attr
-}
-
 // Trace is one job's (or one process's) span recorder. All methods are
 // nil-safe: a nil *Trace and the zero Span record nothing and cost a
 // branch, so instrumented code needs no "is tracing on" plumbing.
 //
-// Two recording planes, by write frequency:
+// A trace is one append-only log of span events under one mutex: Start
+// logs a start, End an end, Instant an instant and InjectSpan a start
+// and an end, each at its position in the log (its Seq). Spans may start
+// and end on different goroutines (a job span opened by the submitter
+// and closed by an executor). The exports read the completed spans in
+// the log, so they may run at any time and see every span ended so far;
+// live readers follow the log by position with EventsFrom.
 //
-//   - Control plane — Trace.Start/Span.End, Trace.Instant: appended
-//     under the trace mutex; safe to start and end on different
-//     goroutines (a job span opened by the submitter and closed by an
-//     executor, a shard span closed by a connection reader).
-//   - Data plane — Trace.Buffer, Buffer.Start: each Buffer is owned by
-//     exactly one worker goroutine and appends lock-free; per-cell
-//     spans on the fleet's hot path take this route.
-//
-// A trace caps its span count (SetMaxSpans, default 65536): beyond the
-// cap spans are counted as dropped rather than recorded, so a pathological
-// workload degrades the trace, never the process. Snapshots (export,
-// Coverage) must happen after the traced work has completed — worker
-// buffers are not synchronized against their owning goroutines.
+// A trace caps its completed spans (SetMaxSpans, default 65536): a
+// start is logged while the trace is under its cap, and an end or
+// instant past the cap is counted in Dropped and logged nowhere, so a
+// pathological workload degrades the trace, never the process. Close
+// seals the log the same way.
 type Trace struct {
-	name    string
-	wall    time.Time // epoch: wall clock for export, monotonic base for offsets
-	ids     atomic.Uint64
-	max     int64
-	count   atomic.Int64
-	dropped atomic.Uint64
+	name string
+	wall time.Time // epoch: wall clock for export, monotonic base for offsets
 
-	mu   sync.Mutex
-	ctl  []spanRec
-	bufs []*Buffer
-
-	// events is the live streaming plane (events.go); nil until
-	// StreamEvents arms it, so un-streamed traces pay one pointer load
-	// per publication site.
-	events *eventLog
+	mu      sync.Mutex
+	ids     uint64
+	max     int
+	log     []SpanEvent
+	spans   int // completed spans (ends and instants) in log
+	dropped uint64
+	closed  bool
+	wake    chan struct{} // made when a reader waits at the log's end; closed by the next append or Close
 }
 
 // NewTrace starts an empty trace whose epoch is now.
@@ -101,33 +85,60 @@ func (t *Trace) Name() string {
 	return t.name
 }
 
-// SetMaxSpans bounds the number of recorded spans; further spans are
-// dropped (and counted). Not safe to call concurrently with recording.
+// SetMaxSpans bounds the number of completed spans the trace logs;
+// further spans are dropped (and counted).
 func (t *Trace) SetMaxSpans(n int) {
 	if t != nil && n > 0 {
-		t.max = int64(n)
+		t.mu.Lock()
+		t.max = n
+		t.mu.Unlock()
 	}
 }
 
-// Dropped reports spans discarded over the cap.
+// Dropped reports spans ended or marked past the cap or after Close.
 func (t *Trace) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 // since is the monotonic offset of now from the trace epoch.
 func (t *Trace) since() time.Duration { return time.Since(t.wall) }
 
-// admit consumes one slot under the span cap.
-func (t *Trace) admit() bool {
-	if t.count.Add(1) > t.max {
-		t.count.Add(-1)
-		t.dropped.Add(1)
+// logLocked appends ev at the end of the log, unless the log is closed
+// or ev would complete a span past the cap; it reports whether it did.
+// Callers hold t.mu.
+func (t *Trace) logLocked(ev SpanEvent) bool {
+	if t.closed || t.spans >= t.max {
 		return false
 	}
+	if ev.Kind != EventStart {
+		t.spans++
+	}
+	ev.Seq = uint64(len(t.log)) + 1
+	t.log = append(t.log, ev)
+	t.wakeLocked()
 	return true
+}
+
+// wakeLocked releases the readers waiting at the log's end; callers hold
+// t.mu.
+func (t *Trace) wakeLocked() {
+	if t.wake != nil {
+		close(t.wake)
+		t.wake = nil
+	}
+}
+
+// completeLocked logs a completed span (an end or an instant), counting
+// it as dropped when the log refuses it; callers hold t.mu.
+func (t *Trace) completeLocked(ev SpanEvent) {
+	if !t.logLocked(ev) {
+		t.dropped++
+	}
 }
 
 // Span is an in-flight span handle. The zero Span is inert: Start on a
@@ -135,9 +146,9 @@ func (t *Trace) admit() bool {
 // lets un-traced runs share the instrumented code path.
 type Span struct {
 	tr     *Trace
-	buf    *Buffer
 	id     SpanID
 	parent SpanID
+	tid    int32
 	name   string
 	start  time.Duration
 }
@@ -151,141 +162,66 @@ func (s Span) ID() SpanID { return s.id }
 // Trace returns the owning trace (nil for the zero Span).
 func (s Span) Trace() *Trace { return s.tr }
 
-// Start opens a control-plane span under parent (the zero Span parents
-// a root). The returned handle may End on any goroutine.
+// Start opens a span under parent (the zero Span parents a root) on
+// lane 0. The returned handle may End on any goroutine.
 func (t *Trace) Start(parent Span, name string) Span {
+	return t.start(parent, 0, name)
+}
+
+func (t *Trace) start(parent Span, tid int32, name string) Span {
 	if t == nil {
 		return Span{}
 	}
-	s := Span{
-		tr: t, id: SpanID(t.ids.Add(1)), parent: parent.id,
-		name: name, start: t.since(),
-	}
-	if t.events != nil {
-		t.publish(SpanEvent{Kind: EventStart, Span: s.id, Parent: s.parent, Name: name, Start: s.start})
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ids++
+	s := Span{tr: t, id: SpanID(t.ids), parent: parent.id, tid: tid, name: name, start: t.since()}
+	t.logLocked(SpanEvent{Kind: EventStart, Span: s.id, Parent: s.parent, Tid: tid, Name: name, Start: s.start})
 	return s
 }
 
-// Child opens a control-plane span under s; inert when s is.
-func (s Span) Child(name string) Span {
+// Child opens a span under s on lane 0; inert when s is.
+func (s Span) Child(name string) Span { return s.ChildOn(0, name) }
+
+// ChildOn opens a span under s on a Chrome lane (its tid), so that
+// spans running side by side, such as the cells of a fleet pool's
+// slots, show as parallel rows; inert when s is.
+func (s Span) ChildOn(lane int32, name string) Span {
 	if s.tr == nil {
 		return Span{}
 	}
-	return s.tr.Start(s, name)
+	return s.tr.start(s, lane, name)
 }
 
-// End completes the span, recording it with optional attributes. A span
-// never ended is never recorded. Ending the zero Span is a no-op. The
-// end event publishes even when the span itself drops over the cap —
-// the live stream has its own bound and its own drop counter.
+// End completes the span, logging it with optional attributes. A span
+// never ended is never completed. Ending the zero Span is a no-op.
 func (s Span) End(attrs ...Attr) {
-	if s.tr == nil {
+	t := s.tr
+	if t == nil {
 		return
 	}
-	rec := spanRec{
-		id: s.id, parent: s.parent, name: s.name,
-		start: s.start, end: s.tr.since(), attrs: attrs,
-	}
-	if s.buf != nil {
-		rec.tid = s.buf.tid
-	}
-	if s.tr.events != nil {
-		s.tr.publish(SpanEvent{
-			Kind: EventEnd, Span: s.id, Parent: s.parent, Tid: rec.tid,
-			Name: s.name, Start: s.start, End: rec.end, Attrs: attrs,
-		})
-	}
-	if !s.tr.admit() {
-		return
-	}
-	if s.buf != nil {
-		s.buf.spans = append(s.buf.spans, rec)
-		return
-	}
-	s.tr.mu.Lock()
-	s.tr.ctl = append(s.tr.ctl, rec)
-	s.tr.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.completeLocked(SpanEvent{
+		Kind: EventEnd, Span: s.id, Parent: s.parent, Tid: s.tid,
+		Name: s.name, Start: s.start, End: t.since(), Attrs: attrs,
+	})
 }
 
 // Instant records a zero-duration marker under parent — an event with a
-// timestamp but no extent (a CellBatch arrival, a heartbeat send). Like
-// End, the live event publishes even when the marker drops over the
-// span cap.
+// timestamp but no extent (a CellBatch arrival, a heartbeat send).
 func (t *Trace) Instant(parent Span, name string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ids++
 	at := t.since()
-	id := SpanID(t.ids.Add(1))
-	if t.events != nil {
-		t.publish(SpanEvent{
-			Kind: EventInstant, Span: id, Parent: parent.id,
-			Name: name, Start: at, End: at, Attrs: attrs,
-		})
-	}
-	if !t.admit() {
-		return
-	}
-	rec := spanRec{id: id, parent: parent.id, name: name, start: at, end: at, attrs: attrs}
-	t.mu.Lock()
-	t.ctl = append(t.ctl, rec)
-	t.mu.Unlock()
-}
-
-// Buffer is one worker goroutine's lock-free span sink. Exactly one
-// goroutine may Start spans on a buffer (and must End them on the same
-// goroutine); distinct workers get distinct buffers, so the data plane
-// records without taking any lock.
-type Buffer struct {
-	tr    *Trace
-	tid   int32
-	spans []spanRec
-}
-
-// Buffer registers a new per-worker buffer (nil-safe: a nil trace
-// returns a nil buffer, on which Start returns the inert zero Span).
-func (t *Trace) Buffer() *Buffer {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b := &Buffer{tr: t, tid: int32(len(t.bufs) + 1)}
-	t.bufs = append(t.bufs, b)
-	return b
-}
-
-// Start opens a data-plane span on the buffer's goroutine. Recording
-// stays lock-free; when the trace's event plane is armed (StreamEvents)
-// the start/end events additionally take the event-log mutex.
-func (b *Buffer) Start(parent Span, name string) Span {
-	if b == nil {
-		return Span{}
-	}
-	s := Span{
-		tr: b.tr, buf: b, id: SpanID(b.tr.ids.Add(1)), parent: parent.id,
-		name: name, start: b.tr.since(),
-	}
-	if b.tr.events != nil {
-		b.tr.publish(SpanEvent{Kind: EventStart, Span: s.id, Parent: s.parent, Tid: b.tid, Name: name, Start: s.start})
-	}
-	return s
-}
-
-// snapshot collects every recorded span. Callers must ensure the traced
-// work has completed (worker buffers are single-owner, unsynchronized).
-func (t *Trace) snapshot() []spanRec {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := append([]spanRec(nil), t.ctl...)
-	for _, b := range t.bufs {
-		out = append(out, b.spans...)
-	}
-	return out
+	t.completeLocked(SpanEvent{
+		Kind: EventInstant, Span: SpanID(t.ids), Parent: parent.id,
+		Name: name, Start: at, End: at, Attrs: attrs,
+	})
 }
 
 // Coverage reports the fraction of the root span's wall time attributed
@@ -298,26 +234,26 @@ func (t *Trace) Coverage(root Span) float64 {
 	if t == nil {
 		return 0
 	}
-	spans := t.snapshot()
+	spans := t.Spans()
 	isParent := map[SpanID]bool{}
-	var rootRec *spanRec
+	var rootRec *SpanEvent
 	for i := range spans {
-		isParent[spans[i].parent] = true
-		if spans[i].id == root.id {
+		isParent[spans[i].Parent] = true
+		if spans[i].Span == root.id {
 			rootRec = &spans[i]
 		}
 	}
-	if rootRec == nil || rootRec.end <= rootRec.start {
+	if rootRec == nil || rootRec.End <= rootRec.Start {
 		return 0
 	}
 	type iv struct{ lo, hi time.Duration }
 	var ivs []iv
 	for i := range spans {
 		sp := &spans[i]
-		if sp.id == root.id || isParent[sp.id] {
+		if sp.Span == root.id || isParent[sp.Span] {
 			continue
 		}
-		lo, hi := max(sp.start, rootRec.start), min(sp.end, rootRec.end)
+		lo, hi := max(sp.Start, rootRec.Start), min(sp.End, rootRec.End)
 		if hi > lo {
 			ivs = append(ivs, iv{lo, hi})
 		}
@@ -326,7 +262,7 @@ func (t *Trace) Coverage(root Span) float64 {
 		return 0
 	}
 	// Union of intervals via sweep.
-	for i := 1; i < len(ivs); i++ { // insertion sort: control-plane sizes
+	for i := 1; i < len(ivs); i++ { // insertion sort
 		for j := i; j > 0 && ivs[j].lo < ivs[j-1].lo; j-- {
 			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
 		}
@@ -342,7 +278,7 @@ func (t *Trace) Coverage(root Span) float64 {
 		curHi = max(curHi, v.hi)
 	}
 	covered += curHi - curLo
-	return float64(covered) / float64(rootRec.end-rootRec.start)
+	return float64(covered) / float64(rootRec.End-rootRec.Start)
 }
 
 // spanKey is the context key for cross-seam span propagation.

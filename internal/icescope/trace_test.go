@@ -15,8 +15,7 @@ func TestTraceTreeAndExports(t *testing.T) {
 	plan := root.Child("plan")
 	time.Sleep(time.Millisecond)
 	plan.End(IntAttr("shards", 4))
-	buf := tr.Buffer()
-	cell := buf.Start(root, "cell 0 run")
+	cell := root.ChildOn(1, "cell 0 run")
 	time.Sleep(time.Millisecond)
 	cell.End(StrAttr("mode", "proto"))
 	tr.Instant(root, "celldone", IntAttr("cell", 0))
@@ -92,12 +91,8 @@ func TestNilTraceAndZeroSpanAreInert(t *testing.T) {
 	s.End()
 	s.Child("y").End()
 	tr.Instant(s, "z")
-	b := tr.Buffer()
-	if b != nil {
-		t.Fatal("nil trace returned a buffer")
-	}
-	if sp := b.Start(s, "w"); sp.Active() {
-		t.Fatal("nil buffer span is active")
+	if sp := s.ChildOn(1, "w"); sp.Active() {
+		t.Fatal("lane child of the zero span is active")
 	}
 	if tr.Coverage(s) != 0 || tr.Name() != "" || tr.Dropped() != 0 {
 		t.Fatal("nil trace accessors not zero")
@@ -122,7 +117,7 @@ func TestSpanCapDrops(t *testing.T) {
 	if got := tr.Dropped(); got != 3 {
 		t.Fatalf("dropped = %d, want 3", got)
 	}
-	if n := len(tr.snapshot()); n != 3 {
+	if n := len(tr.Spans()); n != 3 {
 		t.Fatalf("recorded %d spans, want 3", n)
 	}
 }
@@ -132,13 +127,14 @@ func TestCoverage(t *testing.T) {
 	root := tr.Start(Span{}, "root")
 	// Two leaves covering disjoint halves with a gap, plus a parent span
 	// that must NOT count (its children do), plus an overlap.
+	complete := func(s Span, start, end time.Duration) {
+		tr.mu.Lock()
+		tr.completeLocked(SpanEvent{Kind: EventEnd, Span: s.id, Parent: s.parent, Name: s.name, Start: start, End: end})
+		tr.mu.Unlock()
+	}
 	mk := func(start, end time.Duration, parent Span, name string) Span {
 		s := tr.Start(parent, name)
-		s.start = start
-		rec := spanRec{id: s.id, parent: s.parent, name: name, start: start, end: end}
-		tr.mu.Lock()
-		tr.ctl = append(tr.ctl, rec)
-		tr.mu.Unlock()
+		complete(s, start, end)
 		return s
 	}
 	mid := mk(0, 100*time.Millisecond, root, "phase") // becomes a parent
@@ -146,9 +142,7 @@ func TestCoverage(t *testing.T) {
 	mk(30*time.Millisecond, 60*time.Millisecond, mid, "b") // overlaps a
 	mk(80*time.Millisecond, 100*time.Millisecond, root, "c")
 	// Close root at exactly 100ms.
-	tr.mu.Lock()
-	tr.ctl = append(tr.ctl, spanRec{id: root.id, parent: 0, name: "root", start: 0, end: 100 * time.Millisecond})
-	tr.mu.Unlock()
+	complete(root, 0, 100*time.Millisecond)
 	// Union of leaves: [0,60) ∪ [80,100) = 80ms of 100ms.
 	if got := tr.Coverage(root); got < 0.79 || got > 0.81 {
 		t.Fatalf("coverage = %v, want 0.8", got)
@@ -171,28 +165,27 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
-// Control-plane spans may start and end on different goroutines while
-// worker buffers record concurrently; this must be race-free (run under
+// Spans may start and end on different goroutines while workers record
+// on their own lanes concurrently; this must be race-free (run under
 // -race in CI).
 func TestConcurrentRecording(t *testing.T) {
 	tr := NewTrace("conc")
 	root := tr.Start(Span{}, "root")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		buf := tr.Buffer() // registered on the spawning goroutine
 		wg.Add(1)
-		go func(b *Buffer) {
+		go func(lane int32) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := b.Start(root, "cell")
+				sp := root.ChildOn(lane, "cell")
 				tr.Instant(root, "mark")
 				sp.End()
 			}
-		}(buf)
+		}(int32(w + 1))
 	}
 	wg.Wait()
 	root.End()
-	if n := len(tr.snapshot()); n != 4*200+1 {
+	if n := len(tr.Spans()); n != 4*200+1 {
 		t.Fatalf("recorded %d spans, want %d", n, 4*200+1)
 	}
 	if cov := tr.Coverage(root); cov <= 0 || cov > 1 {
@@ -200,8 +193,8 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// Spans lists every recorded span of both planes as a completed-span
-// event with its attributes; a span never ended, or dropped over the
+// Spans lists every completed span in the log as a completed-span event
+// with its attributes and lane; a span never ended, or dropped over the
 // cap, is absent.
 func TestSpans(t *testing.T) {
 	if got := (*Trace)(nil).Spans(); got != nil {
@@ -212,7 +205,7 @@ func TestSpans(t *testing.T) {
 	root := tr.Start(Span{}, "root") // never ended
 	ctl := root.Child("ctl")
 	ctl.End(StrAttr("outcome", "done"))
-	cell := tr.Buffer().Start(ctl, "cell")
+	cell := ctl.ChildOn(1, "cell")
 	cell.End(IntAttr("cells", 2))
 	tr.Instant(root, "mark", StrAttr("how", "test"))
 	tr.Start(root, "over").End() // the fourth recorded span: over the cap
@@ -238,8 +231,8 @@ func TestSpans(t *testing.T) {
 			continue
 		}
 		delete(wants, ev.Name)
-		if ev.Parent != w.parent || ev.Tid != w.tid || ev.Seq != 0 {
-			t.Errorf("%s: parent %d tid %d seq %d, want parent %d tid %d seq 0", ev.Name, ev.Parent, ev.Tid, ev.Seq, w.parent, w.tid)
+		if ev.Parent != w.parent || ev.Tid != w.tid {
+			t.Errorf("%s: parent %d tid %d, want parent %d tid %d", ev.Name, ev.Parent, ev.Tid, w.parent, w.tid)
 		}
 		if len(ev.Attrs) != 1 || ev.Attrs[0] != w.attr {
 			t.Errorf("%s: attrs %+v, want [%+v]", ev.Name, ev.Attrs, w.attr)
