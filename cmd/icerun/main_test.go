@@ -92,8 +92,8 @@ func TestRunRemoteMatchesLocal(t *testing.T) {
 			t.Fatalf("remote render %d differs:\n%s\nvs local:\n%s", i, remote.String(), local.String())
 		}
 	}
-	if hits, _, _ := sched.Cache().Stats(); hits != 1 {
-		t.Fatalf("cache hits = %d", hits)
+	if m := sched.MetricsText(); !strings.Contains(m, "\nicegate_cache_hits_total 1\n") {
+		t.Fatalf("cache hits != 1:\n%s", m)
 	}
 }
 

@@ -178,9 +178,10 @@ func TestRunRangeRejectsBadRange(t *testing.T) {
 	}
 }
 
-// Cell spans record into one buffer per slot: a traced run registers no
-// more buffers than the pool has slots, not one per cell.
-func TestPoolTraceBuffersPerSlot(t *testing.T) {
+// Cell spans use at most one Chrome lane per pool slot: a traced run's
+// cell spans land on no more lanes than the pool has slots, not one per
+// cell.
+func TestPoolTraceLanesPerSlot(t *testing.T) {
 	tr := icescope.NewTrace("run")
 	root := tr.Start(icescope.Span{}, "run")
 	spec := mathSpec("spans", 5, 12)
@@ -213,6 +214,6 @@ func TestPoolTraceBuffersPerSlot(t *testing.T) {
 		t.Fatalf("trace holds %d cell spans, want %d", cells, spec.Cells)
 	}
 	if len(tids) > 2 {
-		t.Fatalf("cell spans landed in %d buffers on a 2-slot pool, want at most 2", len(tids))
+		t.Fatalf("cell spans landed on %d lanes on a 2-slot pool, want at most 2", len(tids))
 	}
 }

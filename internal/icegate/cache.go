@@ -1,62 +1,9 @@
 package icegate
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "encoding/json"
 
-// cacheEntry memoizes one successful job: the rendered table plus the
-// per-cell records in deterministic cell-index order, so a cache hit can
-// replay both the result and the stream byte-for-byte.
-type cacheEntry struct {
-	table string
-	cells []CellResult
-}
-
-// Cache is the deterministic result cache. The fleet guarantees a
-// (scenario, seed, cells, duration, knobs) tuple reduces to byte-identical
-// output at any worker count, and the experiment catalog runners are pure
-// functions of (id, seed, cells) — so a repeat submission is served
-// without simulating anything. Entries are kept for the process lifetime;
-// results never go stale because the key covers every input.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-	hits    uint64
-	misses  uint64
-}
-
-// NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{entries: map[string]cacheEntry{}} }
-
-// get looks a key up, counting the hit or miss.
-func (c *Cache) get(key string) (cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return e, ok
-}
-
-// put memoizes a completed job's result.
-func (c *Cache) put(key string, e cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[key] = e
-}
-
-// Stats reports lifetime hit/miss counters and the entry count.
-func (c *Cache) Stats() (hits, misses uint64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
-}
-
-// storedResult is the disk encoding of a cacheEntry: stable JSON inside
+// storedResult is the disk encoding of a finished result: the rendered
+// table plus the per-cell records in index order, as stable JSON inside
 // the store's checksummed envelope, so an entry written by one daemon
 // replays byte-identically from the next.
 type storedResult struct {
@@ -64,35 +11,35 @@ type storedResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// storeGet looks the key up in the disk store (the L2 below the
-// in-memory cache). A corrupt or undecodable payload is a miss — the
+// storeGet looks the key up in the disk store (the level below the
+// retained jobs). A corrupt or undecodable payload is a miss — the
 // store has already quarantined checksum failures, and a JSON-level
 // failure here just means re-simulating.
-func (s *Scheduler) storeGet(key string) (cacheEntry, bool) {
+func (s *Scheduler) storeGet(key string) (storedResult, bool) {
 	if s.store == nil {
-		return cacheEntry{}, false
+		return storedResult{}, false
 	}
 	raw, ok := s.store.Get(key)
 	if !ok {
-		return cacheEntry{}, false
+		return storedResult{}, false
 	}
 	var sr storedResult
 	if err := json.Unmarshal(raw, &sr); err != nil {
-		return cacheEntry{}, false
+		return storedResult{}, false
 	}
-	return cacheEntry{table: sr.Table, cells: sr.Cells}, true
+	return sr, true
 }
 
-// storePut writes a finished result through to the disk store. Failures
-// (oversized for the store's budget, disk trouble) cost only restart
-// durability, never correctness, so they are dropped.
-func (s *Scheduler) storePut(key string, e cacheEntry) {
+// storePut writes a finished job's result through to the disk store.
+// Failures (oversized for the store's budget, disk trouble) cost only
+// restart durability, never correctness, so they are dropped.
+func (s *Scheduler) storePut(job *Job, table string) {
 	if s.store == nil {
 		return
 	}
-	raw, err := json.Marshal(storedResult{Table: e.table, Cells: e.cells})
+	raw, err := json.Marshal(storedResult{Table: table, Cells: job.cellsByIndex()})
 	if err != nil {
 		return
 	}
-	_ = s.store.Put(key, raw)
+	_ = s.store.Put(job.key, raw)
 }

@@ -1,10 +1,10 @@
 // Package icegate is the serving layer above the fleet: a long-running
 // gateway that accepts scenario-run and experiment-table jobs over
 // HTTP/JSON, schedules them across tenants with quotas and weighted
-// fair queueing, streams per-cell results as they complete, and
-// memoizes finished results in a deterministic cache — in memory and,
-// when configured, in a disk-backed content-addressed store that
-// survives restarts.
+// fair queueing, streams per-cell results as they complete, and serves
+// a repeat of a finished job from a deterministic cache: the finished
+// jobs it retains and, when configured, a disk-backed content-addressed
+// store that survives restarts.
 //
 // The design leans on the layer below it: because a fleet result is a
 // pure function of (scenario, seed, cells, duration, knobs) — byte-
@@ -35,7 +35,6 @@ type Config struct {
 	Executors  int // jobs executing concurrently; <=0 means 1
 	Workers    int // local cells computed at once, across all jobs; <=0 means 1
 	MaxCells   int // per-job cell ceiling (admission control); <=0 means 4096
-	RetainJobs int // finished jobs kept for status queries; <=0 means 1024
 
 	// Tenants is the multi-tenant policy: per-tenant quotas and fair-share
 	// weights. The zero value admits everyone under one unlimited default
@@ -56,9 +55,10 @@ type Config struct {
 	// identity: determinism makes backends interchangeable.
 	Backend Backend
 
-	// Store, when non-nil, is the disk-backed second cache level: results
-	// missing from the in-memory cache are looked up there, and finished
-	// results are written through, so cache hits survive daemon restarts.
+	// Store, when non-nil, is the disk-backed level below the retained
+	// jobs: a repeat that no retained job can serve is looked up there,
+	// and finished results are written through, so cache hits survive
+	// daemon restarts.
 	Store *icestore.Store
 }
 
@@ -75,14 +75,21 @@ func (c Config) withDefaults() Config {
 	if c.MaxCells <= 0 {
 		c.MaxCells = 4096
 	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 1024
-	}
 	if c.Backend == nil {
 		c.Backend = LocalBackend{}
 	}
 	return c
 }
+
+// The job registry is the gateway's in-memory result cache, bounded
+// twice: by jobs, and by the cells its terminal jobs hold. A job holds at
+// most MaxCells cells, so the newest finished job always fits the cell
+// bound; at the default ceiling, a job of 32 cells or fewer meets the job
+// bound first.
+const (
+	retainJobs     = 1024
+	retainCeilings = 8 // terminal jobs hold at most retainCeilings × MaxCells cells
+)
 
 // ErrQueueFull is admission control's global rejection: the HTTP layer
 // maps it (and the per-tenant QuotaError wrapping it) to 429 Too Many
@@ -90,10 +97,10 @@ func (c Config) withDefaults() Config {
 var ErrQueueFull = errors.New("icegate: job queue full")
 
 // Scheduler owns the tenant queues, the executor pool, the cell pool
-// that every job's local cells share, and the result cache hierarchy.
+// that every job's local cells share, and the retained jobs, which are
+// its result cache.
 type Scheduler struct {
 	cfg   Config
-	cache *Cache
 	store *icestore.Store
 	met   *gatewayMetrics
 	pool  *fleet.Pool // Workers slots: bounds local cells across all jobs
@@ -107,7 +114,15 @@ type Scheduler struct {
 	closed bool
 	seq    int
 	jobs   map[string]*Job
-	order  []string // submission order, for listing
+	order  []string // submission order, for listing and eviction
+
+	// The result cache, guarded by mu: results maps a cache key to the
+	// newest retained job that finished it done, retainedCells counts the
+	// cells that retained terminal jobs hold, and hits and misses count
+	// lookups.
+	results       map[string]*Job
+	retainedCells int
+	hits, misses  uint64
 
 	// Multi-tenant scheduling state, all guarded by mu. tenants holds one
 	// state per identity with work in flight; vtime is the weighted-fair-
@@ -141,12 +156,12 @@ func NewScheduler(cfg Config) *Scheduler {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:     cfg,
-		cache:   NewCache(),
 		store:   cfg.Store,
 		pool:    fleet.NewPool(cfg.Workers),
 		baseCtx: ctx,
 		stop:    stop,
 		jobs:    map[string]*Job{},
+		results: map[string]*Job{},
 		tenants: map[string]*tenantState{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -207,9 +222,6 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 }
 
-// Cache exposes the in-memory result cache (metrics and tests).
-func (s *Scheduler) Cache() *Cache { return s.cache }
-
 // Store exposes the disk-backed result store; nil when none configured.
 func (s *Scheduler) Store() *icestore.Store { return s.store }
 
@@ -225,8 +237,9 @@ func (s *Scheduler) QueueDepth() int {
 }
 
 // Submit validates and admits one job under its tenant's quota. A cache
-// or store hit completes the job instantly — it is registered with an ID
-// like any other so clients keep one code path — and an admission
+// hit, served by a retained job or the store, completes the job
+// instantly — it is registered with an ID like any other so clients keep
+// one code path, and serves the next repeat itself — and an admission
 // rejection (global queue full, or any per-tenant quota) returns an
 // ErrQueueFull-family error without registering anything.
 func (s *Scheduler) Submit(req Request) (*Job, error) {
@@ -248,15 +261,15 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		job.enableTrace()
 	}
 
-	if e, ok := s.cache.get(job.key); ok {
-		s.finishFromCache(job, e, "cache hit")
+	if hit := s.results[job.key]; hit != nil {
+		s.hits++
+		table, _ := hit.Table()
+		s.finishFromCache(job, table, hit.cellsByIndex(), "cache hit")
 		return job, nil
 	}
-	// L2: the disk store. A hit is promoted into the in-memory cache so
-	// the next repeat skips the disk entirely.
-	if e, ok := s.storeGet(job.key); ok {
-		s.cache.put(job.key, e)
-		s.finishFromCache(job, e, "store hit")
+	s.misses++
+	if sr, ok := s.storeGet(job.key); ok {
+		s.finishFromCache(job, sr.Table, sr.Cells, "store hit")
 		return job, nil
 	}
 
@@ -292,14 +305,15 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	return job, nil
 }
 
-// finishFromCache completes a job instantly from a memoized entry;
-// callers hold s.mu.
-func (s *Scheduler) finishFromCache(job *Job, e cacheEntry, how string) {
+// finishFromCache completes a job instantly from a cached result, its
+// cells in index order, and retains it; callers hold s.mu.
+func (s *Scheduler) finishFromCache(job *Job, table string, cells []CellResult, how string) {
 	job.traceInstant(how)
-	for _, cr := range e.cells {
+	for _, cr := range cells {
 		job.deliver(cr)
 	}
-	job.finish(StatusDone, e.table, "", true)
+	job.finish(StatusDone, table, "", true)
+	s.retainLocked(job) // before register, which may evict it
 	s.register(job)
 	s.met.jobsDone.Add(1)
 }
@@ -461,19 +475,39 @@ func (s *Scheduler) register(job *Job) {
 	s.evictLocked()
 }
 
-// evictLocked keeps the daemon's job registry bounded: once the registry
-// exceeds RetainJobs, terminal jobs are dropped oldest-first (their
-// results live on in the cache; only the per-ID status record goes).
-// Queued and running jobs are never evicted. Callers hold s.mu.
+// retainLocked charges a job that has just ended with the cells it
+// holds, which no longer change, and, when it finished done, makes it the
+// job that serves its key. Callers hold s.mu and evict afterwards.
+func (s *Scheduler) retainLocked(job *Job) {
+	v := job.View()
+	s.retainedCells += v.CellsDone
+	if v.Status == StatusDone {
+		s.results[job.key] = job
+	}
+}
+
+// evictLocked keeps the daemon's job registry bounded: while it holds
+// more than retainJobs jobs, or its terminal jobs hold more than
+// retainCeilings × MaxCells cells, terminal jobs are dropped oldest-first,
+// and with them the keys they serve (a repeat then goes to the store, or
+// runs again). Queued and running jobs are never evicted. Callers hold
+// s.mu.
 func (s *Scheduler) evictLocked() {
-	if len(s.jobs) <= s.cfg.RetainJobs {
+	over := func() bool {
+		return len(s.jobs) > retainJobs || s.retainedCells > retainCeilings*s.cfg.MaxCells
+	}
+	if !over() {
 		return
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
-		if len(s.jobs) > s.cfg.RetainJobs && j.Status().terminal() {
+		if over() && j.Status().terminal() {
 			s.evictedSpanDrops += j.tr.Dropped()
+			s.retainedCells -= j.View().CellsDone
+			if s.results[j.key] == j {
+				delete(s.results, j.key)
+			}
 			delete(s.jobs, id)
 			continue
 		}
@@ -576,34 +610,21 @@ func (s *Scheduler) runJob(job *Job, sum *fleet.Summary) {
 		s.met.jobsFailed.Add(1)
 		s.finishRun(job, StatusFailed, "", err.Error())
 	default:
-		// Memoize with cells re-sorted into deterministic index order so a
-		// cache hit replays the same stream regardless of this run's
-		// completion order.
-		job.mu.Lock()
-		cells := append([]CellResult(nil), job.cells...)
-		job.mu.Unlock()
-		ordered := make([]CellResult, len(cells))
-		copy(ordered, cells)
-		for _, cr := range cells {
-			if cr.Index >= 0 && cr.Index < len(ordered) {
-				ordered[cr.Index] = cr
-			}
-		}
-		entry := cacheEntry{table: table, cells: ordered}
-		s.cache.put(job.key, entry)
-		s.storePut(job.key, entry)
+		s.storePut(job, table)
 		s.met.jobsDone.Add(1)
 		s.finishRun(job, StatusDone, table, "")
 	}
 }
 
 // finishRun moves a job its executor ran to a terminal state, releasing
-// its resources first.
+// its resources first, and retains it.
 func (s *Scheduler) finishRun(job *Job, status Status, table, errMsg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.releaseLocked(job)
 	job.finish(status, table, errMsg, false)
+	s.retainLocked(job)
+	s.evictLocked()
 }
 
 // runScenario executes a fleet ensemble, streaming each cell as it lands

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,26 +16,41 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/icestore"
+	"repro/internal/sim"
 )
 
-// The tests register one extra scenario whose cells block on a per-seed
-// gate, so a job can be held mid-flight deterministically: each token
-// sent to the gate releases exactly one cell.
-var testGates sync.Map // seed -> chan struct{}
+// The tests register two extra scenarios whose cells block on a gate, so
+// a job can be held mid-flight deterministically: each token sent to a
+// gate releases exactly one cell. A test-gated job's cells share its
+// seed's gate; a test-cell-gated cell waits on the gate of its seed and
+// index, so a test picks the order its cells land in.
+var testGates sync.Map // seed, or cellGate -> chan struct{}
 
-func gate(seed int64) chan struct{} {
-	ch, _ := testGates.LoadOrStore(seed, make(chan struct{}))
+type cellGate struct {
+	seed  int64
+	index int
+}
+
+func gate(key any) chan struct{} {
+	ch, _ := testGates.LoadOrStore(key, make(chan struct{}))
 	return ch.(chan struct{})
 }
 
 func init() {
-	fleet.Register("test-gated", func(p fleet.Params) fleet.Spec {
+	registerGated("test-gated", func(p fleet.Params, _ fleet.Cell) any { return p.Seed })
+	registerGated("test-cell-gated", func(p fleet.Params, c fleet.Cell) any { return cellGate{p.Seed, c.Index} })
+}
+
+// registerGated registers a scenario whose cell c waits on gate(key(p, c)).
+func registerGated(name string, key func(fleet.Params, fleet.Cell) any) {
+	fleet.Register(name, func(p fleet.Params) fleet.Spec {
 		return fleet.Spec{
-			Name:  "test-gated",
+			Name:  name,
 			Seed:  p.Seed,
 			Cells: p.Cells,
 			Run: func(c fleet.Cell) (fleet.Metrics, error) {
-				<-gate(p.Seed)
+				<-gate(key(p, c))
 				return fleet.Metrics{"index": float64(c.Index)}, nil
 			},
 		}
@@ -170,8 +186,8 @@ func TestIdenticalSubmissionsServedFromCacheByteIdentical(t *testing.T) {
 	if table1 != table2 {
 		t.Fatalf("cached table differs:\n%s\nvs\n%s", table1, table2)
 	}
-	if hits, _, _ := s.Cache().Stats(); hits != 1 {
-		t.Fatalf("cache hits = %d", hits)
+	if m := s.MetricsText(); !strings.Contains(m, "\nicegate_cache_hits_total 1\n") {
+		t.Fatalf("cache hits != 1:\n%s", m)
 	}
 
 	// A semantically identical request with defaults spelled differently
@@ -260,6 +276,88 @@ func TestStreamsCellsWhileConcurrentJobCancelled(t *testing.T) {
 	close(gate(victimSeed))
 	if v := waitDone(t, ts, victim.ID); v.Status != StatusCancelled {
 		t.Fatalf("victim status = %+v", v)
+	}
+}
+
+// A computed job's /stream keeps the order its cells were delivered in,
+// live and after it finishes, because live readers follow its cells by
+// position. A hit, from a retained job or from the store after a
+// restart, replays its cells in index order.
+func TestStreamOrder(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Scheduler, *httptest.Server) {
+		st, err := icestore.Open(icestore.Config{Dir: dir, MaxBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTestGateway(t, Config{QueueDepth: 4, Executors: 1, Workers: 3, Store: st})
+	}
+	seed := nextGateSeed()
+	req := Request{Scenario: "test-cell-gated", Seed: seed, Cells: 3}
+	wantOrder := func(what string, got []int, want ...int) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s streams cells %v, want %v", what, got, want)
+		}
+	}
+
+	s1, ts1 := open()
+	v, code := submit(t, ts1, req)
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d", code)
+	}
+	resp, err := http.Get(ts1.URL + "/api/v1/jobs/" + v.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := json.NewDecoder(resp.Body)
+	var live []int
+	for _, i := range []int{2, 0, 1} {
+		gate(cellGate{seed, i}) <- struct{}{}
+		var l streamLine
+		if err := lines.Decode(&l); err != nil || l.Cell == nil {
+			t.Fatalf("live stream line = %+v, %v; want cell %d", l, err, i)
+		}
+		live = append(live, l.Cell.Index)
+	}
+	wantOrder("the live job", live, 2, 0, 1)
+	waitDone(t, ts1, v.ID)
+	wantOrder("the finished job", streamCells(t, ts1, v.ID), 2, 0, 1)
+	hit, _ := submit(t, ts1, req)
+	if !hit.Cached {
+		t.Fatal("repeat not served from cache")
+	}
+	wantOrder("a hit", streamCells(t, ts1, hit.ID), 0, 1, 2)
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := open()
+	if hit, _ = submit(t, ts2, req); !hit.Cached {
+		t.Fatal("repeat after restart not served from the store")
+	}
+	wantOrder("a store hit", streamCells(t, ts2, hit.ID), 0, 1, 2)
+}
+
+// streamCells reads a terminal job's whole /stream and returns the
+// indexes of its cell lines.
+func streamCells(t *testing.T, ts *httptest.Server, id string) []int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cells []int
+	for lines := json.NewDecoder(resp.Body); ; {
+		var l streamLine
+		if err := lines.Decode(&l); err != nil {
+			t.Fatalf("stream of %s ended without a done line: %v", id, err)
+		}
+		if l.Done {
+			return cells
+		}
+		cells = append(cells, l.Cell.Index)
 	}
 }
 
@@ -392,36 +490,103 @@ func TestListValidationAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// The daemon's job registry is bounded: beyond RetainJobs, the oldest
-// terminal jobs are evicted (their results survive in the cache), while
-// live jobs are never touched.
+// The job registry is the result cache, bounded by jobs and by the cells
+// its terminal jobs hold. Past either bound the oldest terminal job
+// leaves, the newest hit stays and serves its key, and ten queued or
+// running 4096-cell jobs, which hold no cells yet, push no finished job
+// out beyond their count.
 func TestTerminalJobsEvictedBeyondRetention(t *testing.T) {
-	_, ts := newTestGateway(t, Config{QueueDepth: 8, Executors: 1, Workers: 1, RetainJobs: 2})
+	for _, tc := range []struct {
+		name        string
+		cells, hits int
+	}{
+		{"jobs", 1, retainJobs},         // 1 + 10 + 1024 jobs: the job bound
+		{"cells", 4096, retainCeilings}, // 9 × 4096 cells: the cell bound
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(Config{QueueDepth: 16, Executors: 1, Workers: 1})
+			t.Cleanup(s.Close)
+			seed := nextGateSeed()
+			close(gate(seed)) // a closed gate passes every cell at once
+			req := Request{Scenario: "test-gated", Seed: seed, Cells: tc.cells}
+			first := mustSubmit(t, s, req)
+			<-first.Done()
+			for i := 0; i < 10; i++ {
+				live := nextGateSeed()
+				t.Cleanup(func() { close(gate(live)) }) // runs before s.Close
+				mustSubmit(t, s, Request{Scenario: "test-gated", Seed: live, Cells: 4096})
+			}
+			var last *Job
+			for i := 0; i < tc.hits; i++ {
+				if last = mustSubmit(t, s, req); !last.View().Cached {
+					t.Fatalf("repeat %d not served from cache", i)
+				}
+			}
 
-	var ids []string
-	for i := 0; i < 4; i++ {
-		// Distinct seeds so each submission is a distinct cache key.
-		v, code := submit(t, ts, Request{Exp: "E12", Seed: int64(i + 1)})
-		if code != http.StatusCreated {
-			t.Fatalf("submit %d = %d", i, code)
-		}
-		waitDone(t, ts, v.ID)
-		ids = append(ids, v.ID)
+			if _, ok := s.Get(first.ID); ok {
+				t.Error("the first job is still retained past the bound")
+			}
+			if _, ok := s.Get(last.ID); !ok {
+				t.Fatal("the newest hit was evicted")
+			}
+			live, terminal := 0, 0
+			for _, j := range s.Jobs() {
+				if j.Status().terminal() {
+					terminal++
+				} else {
+					live++
+				}
+			}
+			if wantTerminal := min(tc.hits, retainJobs-10); live != 10 || terminal != wantTerminal {
+				t.Errorf("registry holds %d live and %d terminal jobs, want 10 and %d", live, terminal, wantTerminal)
+			}
+			m := s.MetricsText()
+			for _, want := range []string{
+				"\nicegate_cache_entries 1\n",
+				fmt.Sprintf("\nicegate_cache_hits_total %d\n", tc.hits),
+				fmt.Sprintf("\nicegate_retained_cells %d\n", terminal*tc.cells),
+			} {
+				if !strings.Contains(m, want) {
+					t.Errorf("metrics missing %q:\n%s", want, m)
+				}
+			}
+			if j := mustSubmit(t, s, req); !j.View().Cached {
+				t.Error("the newest hit no longer serves its key")
+			}
+		})
 	}
+}
 
-	wantCode := func(id string, want int) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("job %s status code = %d, want %d", id, resp.StatusCode, want)
-		}
+// Past the job bound, the heap stops growing with unique jobs: an evicted
+// job's result is freed, not kept in a second cache.
+func TestHeapFlatPastRetention(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector's shadow memory swamps the heap reading")
 	}
-	wantCode(ids[0], http.StatusNotFound) // evicted
-	wantCode(ids[1], http.StatusNotFound) // evicted
-	wantCode(ids[2], http.StatusOK)
-	wantCode(ids[3], http.StatusOK)
+	s := NewScheduler(Config{QueueDepth: retainJobs, Executors: 2, Workers: 2})
+	t.Cleanup(s.Close)
+	seed := int64(0)
+	heapAfter := func() uint64 {
+		jobs := make([]*Job, retainJobs)
+		for i := range jobs {
+			seed++
+			jobs[i] = mustSubmit(t, s, Request{Scenario: fleet.ScenarioPCASupervised, Seed: seed, Cells: 8, DurationS: 1})
+		}
+		for _, j := range jobs {
+			if <-j.Done(); j.Status() != StatusDone {
+				t.Fatalf("job %s ended %s", j.ID, j.Status())
+			}
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heapAfter()
+	after := heapAfter()
+	t.Logf("heap after GC: %.1f MB, then %.1f MB", float64(before)/1e6, float64(after)/1e6)
+	if after > before+1<<20 {
+		t.Fatalf("heap grew %.1f MB over %d more unique jobs, want under 1 MiB", float64(after-before)/1e6, retainJobs)
+	}
 }

@@ -381,6 +381,21 @@ func (j *Job) cellsFrom(i int) (cells []CellResult, wait <-chan struct{}, termin
 	return nil, j.wake, false
 }
 
+// cellsByIndex returns a copy of the delivered cells with each placed at
+// its Index: the order a cache hit replays and the store keeps.
+func (j *Job) cellsByIndex() []CellResult {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]CellResult, len(j.cells))
+	copy(out, j.cells)
+	for _, cr := range j.cells {
+		if cr.Index >= 0 && cr.Index < len(out) {
+			out[cr.Index] = cr
+		}
+	}
+	return out
+}
+
 // endLocked moves the job to its terminal status: it closes the trace,
 // wakes the /stream readers and closes Done. Callers hold j.mu.
 func (j *Job) endLocked(status Status) {

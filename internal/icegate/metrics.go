@@ -65,20 +65,22 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 	m.jobsFailed = r.Counter("icegate_jobs_failed_total", "Jobs that ended in failure.")
 	m.jobsCancelled = r.Counter("icegate_jobs_cancelled_total", "Jobs cancelled by clients or shutdown.")
 
-	r.GaugeFunc("icegate_cache_entries", "Result-cache entries resident.",
-		func() float64 { _, _, entries := s.cache.Stats(); return float64(entries) })
+	r.GaugeFunc("icegate_cache_entries", "Cache keys that retained jobs can serve.",
+		func() float64 { _, _, entries, _ := s.cacheStats(); return float64(entries) })
 	r.GaugeFunc("icegate_cache_hits_total", "Result-cache hits.",
-		func() float64 { hits, _, _ := s.cache.Stats(); return float64(hits) })
+		func() float64 { hits, _, _, _ := s.cacheStats(); return float64(hits) })
 	r.GaugeFunc("icegate_cache_misses_total", "Result-cache misses.",
-		func() float64 { _, misses, _ := s.cache.Stats(); return float64(misses) })
+		func() float64 { _, misses, _, _ := s.cacheStats(); return float64(misses) })
 	r.GaugeFunc("icegate_cache_hit_rate", "Fraction of lookups served from cache.",
 		func() float64 {
-			hits, misses, _ := s.cache.Stats()
+			hits, misses, _, _ := s.cacheStats()
 			if hits+misses == 0 {
 				return 0
 			}
 			return float64(hits) / float64(hits+misses)
 		})
+	r.GaugeFunc("icegate_retained_cells", "Cells held by retained terminal jobs, bounded at 8 x the per-job cell ceiling.",
+		func() float64 { _, _, _, cells := s.cacheStats(); return float64(cells) })
 
 	// Trace health: spans silently discarded over per-trace caps across
 	// all traced jobs, including those already evicted from the
@@ -147,7 +149,7 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 		}
 	})
 
-	// Disk result store (the L2 under the in-memory cache), when
+	// Disk result store (the level below the retained jobs), when
 	// configured. Gauge-typed running totals, matching the cache family
 	// above: scrape-time reads of the store's own counters.
 	if s.store != nil {
@@ -179,6 +181,14 @@ func newGatewayMetrics(s *Scheduler) *gatewayMetrics {
 	r.GaugeVec("icegate_backend", "Active execution backend.", "name").
 		With(s.cfg.Backend.Name()).Set(1)
 	return m
+}
+
+// cacheStats reads the result-cache counters, the keys that retained
+// jobs serve and the cells they hold.
+func (s *Scheduler) cacheStats() (hits, misses uint64, entries, cells int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hits, s.misses, len(s.results), s.retainedCells
 }
 
 // rate divides a running total by uptime.

@@ -436,7 +436,8 @@ func TestTenantHTTPSurface(t *testing.T) {
 
 // The disk store makes the cache restart-durable: a second scheduler on
 // the same directory serves the first's result byte-identically, as a
-// cache hit, without simulating — then promotes it to memory.
+// cache hit, without simulating — then retains the store hit's job,
+// which serves the next repeat from memory.
 func TestStoreServesAcrossRestartByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Scheduler {
@@ -485,8 +486,8 @@ func TestStoreServesAcrossRestartByteIdentical(t *testing.T) {
 		t.Fatalf("store hits = %d, want 1", hits)
 	}
 
-	// Promotion: the hit landed in the in-memory cache, so a repeat stays
-	// off the disk.
+	// The store hit's job is retained and serves the key, so a repeat
+	// stays off the disk.
 	j3, err := s2.Submit(req)
 	if err != nil {
 		t.Fatal(err)

@@ -806,7 +806,8 @@ func (c *Coordinator) requeueLocked(orphans []*meshShard, cause error) []assignm
 }
 
 // releaseJob drops a finished job's remaining shard bookkeeping,
-// including anything still sitting on the queue.
+// including anything still sitting on the queue, and ends the spans of
+// the shards it drops.
 func (c *Coordinator) releaseJob(job *meshJob) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -817,6 +818,7 @@ func (c *Coordinator) releaseJob(job *meshJob) {
 		if sh.deadline != nil {
 			sh.deadline.Stop()
 		}
+		sh.span.End(icescope.StrAttr("outcome", "released"))
 		if sh.node != nil {
 			delete(sh.node.inflight, id)
 		}

@@ -169,6 +169,51 @@ func TestMeshForwardsNodeSpans(t *testing.T) {
 	}
 }
 
+// A traced mesh job cancelled mid-run ends every shard span it started:
+// releasing the job's shards ends their coordinator spans with
+// outcome=released, so the trace holds no span left open.
+func TestCancelledTracedMeshJobEndsShardSpans(t *testing.T) {
+	seed := 9000 + killSeeds.Add(1)
+	coord, _ := startMesh(t, Config{ShardCells: 2}, 2, 1)
+	t.Cleanup(func() { close(meshGate(seed)) }) // runs before the nodes stop
+
+	spec, err := fleet.Build("mesh-gated", fleet.Params{Seed: seed, Cells: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := icescope.NewTrace("cancelled")
+	root := tr.Start(icescope.Span{}, "job")
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := (fleet.Runner{Workers: 2, Engine: coord, Span: root}).RunContext(ctx, spec, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled job = %v, want its deadline", err)
+	}
+	root.End()
+
+	events, _, _ := tr.EventsFrom(0)
+	open := map[icescope.SpanID]string{}
+	starts := 0
+	for _, ev := range events {
+		if !strings.HasPrefix(ev.Name, "shard ") {
+			continue
+		}
+		switch ev.Kind {
+		case icescope.EventStart:
+			starts++
+			open[ev.Span] = ev.Name
+		case icescope.EventEnd:
+			delete(open, ev.Span)
+			if len(ev.Attrs) != 1 || ev.Attrs[0].Key != "outcome" || ev.Attrs[0].Str != "released" {
+				t.Errorf("span %q ended with %v, want outcome=released", ev.Name, ev.Attrs)
+			}
+		}
+	}
+	if starts == 0 || len(open) > 0 {
+		t.Fatalf("%d shard starts, %d left open: %v\n%s", starts, len(open), open, tr.TextString())
+	}
+	t.Logf("cancelled trace:\n%s", tr.TextString())
+}
+
 // Node loss must leave the coordinator's metrics both well-formed and
 // arithmetically right: one eviction, at least one shard retry, and —
 // because delivery is deduplicated by job.seen — exactly one count per
